@@ -14,8 +14,7 @@ from .config import (ConfigError, ExperimentConfig, FoldConfig, GridConfig,
                      SourceConfig, config_from_dict, config_to_dict,
                      expand_grid, load_config, save_config)
 from .data import (AugmentParams, FoldSplit, SliceSample, augment,
-                   extract_stack, make_folds, normalize_ct, normalize_zscore,
-                   standardize_volume)
+                   extract_stack, make_folds, normalize_ct, normalize_zscore)
 from .gradcheck import GradCheckReport, finite_difference_check
 from .losses import (combined_loss, cross_entropy_loss, dice_per_class,
                      hard_dice, soft_dice_loss)
@@ -48,6 +47,6 @@ __all__ = [
     "generate_cohort", "generate_phantom", "hard_dice", "list_case_stems",
     "load_case", "load_config", "make_folds", "normalize_ct",
     "normalize_zscore", "predict_volume", "run_training", "save_case",
-    "save_config", "soft_dice_loss", "standardize_volume", "structure_depth",
+    "save_config", "soft_dice_loss", "structure_depth",
     "structure_displacement", "structure_size",
 ]

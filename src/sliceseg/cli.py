@@ -56,6 +56,11 @@ def load_source(source: SourceConfig) -> list[LabeledVolume]:
     return [_normalize_volume(v, source.normalization) for v in volumes]
 
 
+def cohort_num_classes(volumes: list[LabeledVolume]) -> int:
+    """Label count of a cohort: one more than the largest label in any volume."""
+    return int(max(v.labels.max() for v in volumes)) + 1
+
+
 def source_fingerprint(volumes: list[LabeledVolume]) -> str:
     """Content hash of the cohort actually trained on."""
     h = hashlib.sha256()
@@ -75,10 +80,11 @@ def cell_name(spec: ModelSpec) -> str:
 
 
 def _cell_hash(spec: ModelSpec, cfg: ExperimentConfig, fold: int, fingerprint: str) -> str:
+    config = config_to_dict(cfg)
     payload = json.dumps({
         "cell": spec.to_dict(),
-        "train": config_to_dict(cfg)["train"],
-        "folds": {"count": cfg.folds.count, "seed": cfg.folds.seed},
+        "train": config["train"],
+        "folds": config["folds"],
         "fold": fold,
         "source": fingerprint,
     }, sort_keys=True)
@@ -127,8 +133,8 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
     fingerprint = source_fingerprint(volumes)
     by_id = {v.patient_id: v for v in volumes}
     folds = make_folds(sorted(by_id), num_folds=cfg.folds.count, seed=cfg.folds.seed)
-    k, c = volumes[0].labels.max() + 1, volumes[0].image.shape[-1]
-    cells = expand_grid(cfg.grid, in_channels=c, num_classes=int(k))
+    cells = expand_grid(cfg.grid, in_channels=volumes[0].image.shape[-1],
+                        num_classes=cohort_num_classes(volumes))
 
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.json"))
@@ -238,7 +244,7 @@ def _cmd_aggregate(args) -> int:
 def _cmd_profile(args) -> int:
     cfg = load_config(args.config)
     volumes = load_source(cfg.source)
-    k, c = int(volumes[0].labels.max() + 1), volumes[0].image.shape[-1]
+    k, c = cohort_num_classes(volumes), volumes[0].image.shape[-1]
     in_plane = volumes[0].image.shape[:2]
     lines = ["mode,backbone,d,parameter_count,flop_count,activation_memory_bytes,"
              "seconds_per_training_step,seconds_per_prediction"]

@@ -6,7 +6,8 @@ field path, so typos in grid definitions cannot silently change a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .data import AugmentParams
 from .models import BACKBONES, MODES, ModelSpec
@@ -24,42 +25,6 @@ def _check_keys(d: dict, allowed, path: str) -> None:
     if unknown:
         raise ConfigError(f"unknown key '{path}.{unknown[0]}'"
                           f" (allowed: {', '.join(sorted(allowed))})")
-
-
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"missing required key '{path}.{key}'")
-    return d[key]
-
-
-def _as_int(v, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"'{path}' must be an integer, got {v!r}")
-    return v
-
-
-def _as_float(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"'{path}' must be a number, got {v!r}")
-    return float(v)
-
-
-def _as_bool(v, path: str) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(f"'{path}' must be true or false, got {v!r}")
-    return v
-
-
-def _as_str(v, path: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigError(f"'{path}' must be a string, got {v!r}")
-    return v
-
-
-def _as_pair(v, path: str) -> tuple[float, float]:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"'{path}' must be a 2-element list, got {v!r}")
-    return (_as_float(v[0], path), _as_float(v[1], path))
 
 
 @dataclass(frozen=True)
@@ -130,136 +95,64 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # dict <-> dataclass, with path-carrying validation
 
-_SOURCE_KEYS = ("kind", "preset", "num_volumes", "seed", "directory", "normalization")
-_GRID_KEYS = ("modes", "backbones", "d_values", "base_filters", "patch_depth")
-_FOLD_KEYS = ("count", "seed")
-_AUGMENT_KEYS = ("probability", "enable_flip", "rotation_degrees", "shear_range",
-                 "zoom_range", "elastic_sigma", "elastic_alpha")
-_TRAIN_KEYS = ("initial_lr", "lr_drop_factor", "patience_epochs", "early_stop_epochs",
-               "max_epochs", "min_improvement", "l2_coefficient", "batch_size",
-               "seed", "loss", "augment")
-_TOP_KEYS = ("source", "grid", "train", "folds", "output_dir")
+# accepted JSON types and their description, per scalar annotation
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+}
 
 
-def _source_from_dict(d: dict) -> SourceConfig:
-    _check_keys(d, _SOURCE_KEYS, "source")
-    kw = {}
-    for key in _SOURCE_KEYS:
-        if key not in d:
-            continue
-        if key in ("num_volumes", "seed"):
-            kw[key] = _as_int(d[key], f"source.{key}")
-        else:
-            kw[key] = _as_str(d[key], f"source.{key}")
-    return SourceConfig(**kw)
+def _parse_value(tp, v, path: str):
+    if is_dataclass(tp):
+        return _parse_dataclass(tp, v, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"'{path}' must be a list, got {v!r}")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(v)
+        elif len(v) != len(args):
+            raise ConfigError(f"'{path}' must be a {len(args)}-element list, got {v!r}")
+        return tuple(_parse_value(t, x, path) for t, x in zip(args, v))
+    accepted, description = _SCALARS[tp]
+    if not isinstance(v, accepted) or (isinstance(v, bool) and tp is not bool):
+        raise ConfigError(f"'{path}' must be {description}, got {v!r}")
+    return float(v) if tp is float else v
 
 
-def _grid_from_dict(d: dict) -> GridConfig:
-    _check_keys(d, _GRID_KEYS, "grid")
-    kw = {}
-    if "modes" in d:
-        kw["modes"] = tuple(_as_str(m, "grid.modes") for m in d["modes"])
-    if "backbones" in d:
-        kw["backbones"] = tuple(_as_str(b, "grid.backbones") for b in d["backbones"])
-    if "d_values" in d:
-        kw["d_values"] = tuple(_as_int(v, "grid.d_values") for v in d["d_values"])
-    for key in ("base_filters", "patch_depth"):
-        if key in d:
-            kw[key] = _as_int(d[key], f"grid.{key}")
-    return GridConfig(**kw)
-
-
-def _augment_from_dict(d: dict) -> AugmentParams:
-    _check_keys(d, _AUGMENT_KEYS, "train.augment")
-    kw = {}
-    if "probability" in d:
-        kw["probability"] = _as_float(d["probability"], "train.augment.probability")
-    if "enable_flip" in d:
-        kw["enable_flip"] = _as_bool(d["enable_flip"], "train.augment.enable_flip")
-    for key in ("rotation_degrees", "shear_range", "zoom_range"):
-        if key in d:
-            kw[key] = _as_pair(d[key], f"train.augment.{key}")
-    for key in ("elastic_sigma", "elastic_alpha"):
-        if key in d:
-            kw[key] = _as_float(d[key], f"train.augment.{key}")
-    return AugmentParams(**kw)
-
-
-def _train_from_dict(d: dict) -> TrainConfig:
-    _check_keys(d, _TRAIN_KEYS, "train")
-    kw = {}
-    for key in ("initial_lr", "lr_drop_factor", "min_improvement", "l2_coefficient"):
-        if key in d:
-            kw[key] = _as_float(d[key], f"train.{key}")
-    for key in ("patience_epochs", "early_stop_epochs", "max_epochs", "batch_size", "seed"):
-        if key in d:
-            kw[key] = _as_int(d[key], f"train.{key}")
-    if "loss" in d:
-        kw["loss"] = _as_str(d["loss"], "train.loss")
-    if "augment" in d:
-        if not isinstance(d["augment"], dict):
-            raise ConfigError("'train.augment' must be an object")
-        kw["augment"] = _augment_from_dict(d["augment"])
+def _parse_dataclass(cls, d, path: str):
+    """Build ``cls`` from a JSON object, type-checking each given field
+    against its annotation; absent fields keep their defaults. ``path`` is
+    the dotted field path for messages, empty at the top level."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"'{path}' must be an object" if path
+                          else "top-level config must be an object")
+    names = [f.name for f in fields(cls)]
+    _check_keys(d, names, path or "config")
+    hints = get_type_hints(cls)
+    kw = {name: _parse_value(hints[name], d[name], f"{path}.{name}" if path else name)
+          for name in names if name in d}
     try:
-        return TrainConfig(**kw)
+        return cls(**kw)
+    except ConfigError:
+        raise
     except ValueError as e:
-        raise ConfigError(f"'train': {e}") from e
+        raise ConfigError(f"'{path}': {e}") from e
 
 
-def _folds_from_dict(d: dict) -> FoldConfig:
-    _check_keys(d, _FOLD_KEYS, "folds")
-    kw = {key: _as_int(d[key], f"folds.{key}") for key in _FOLD_KEYS if key in d}
-    return FoldConfig(**kw)
+def _json_fields(items) -> dict:
+    """``asdict`` factory writing tuple fields as JSON lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("top-level config must be an object")
-    _check_keys(d, _TOP_KEYS, "config")
-    kw = {}
-    for key, parse in (("source", _source_from_dict), ("grid", _grid_from_dict),
-                       ("train", _train_from_dict), ("folds", _folds_from_dict)):
-        if key in d:
-            if not isinstance(d[key], dict):
-                raise ConfigError(f"'{key}' must be an object")
-            kw[key] = parse(d[key])
-    if "output_dir" in d:
-        kw["output_dir"] = _as_str(d["output_dir"], "output_dir")
-    return ExperimentConfig(**kw)
+    return _parse_dataclass(ExperimentConfig, d, "")
 
 
 def config_to_dict(c: ExperimentConfig) -> dict:
-    return {
-        "source": {
-            "kind": c.source.kind, "preset": c.source.preset,
-            "num_volumes": c.source.num_volumes, "seed": c.source.seed,
-            "directory": c.source.directory, "normalization": c.source.normalization,
-        },
-        "grid": {
-            "modes": list(c.grid.modes), "backbones": list(c.grid.backbones),
-            "d_values": list(c.grid.d_values), "base_filters": c.grid.base_filters,
-            "patch_depth": c.grid.patch_depth,
-        },
-        "train": {
-            "initial_lr": c.train.initial_lr, "lr_drop_factor": c.train.lr_drop_factor,
-            "patience_epochs": c.train.patience_epochs,
-            "early_stop_epochs": c.train.early_stop_epochs,
-            "max_epochs": c.train.max_epochs, "min_improvement": c.train.min_improvement,
-            "l2_coefficient": c.train.l2_coefficient, "batch_size": c.train.batch_size,
-            "seed": c.train.seed, "loss": c.train.loss,
-            "augment": {
-                "probability": c.train.augment.probability,
-                "enable_flip": c.train.augment.enable_flip,
-                "rotation_degrees": list(c.train.augment.rotation_degrees),
-                "shear_range": list(c.train.augment.shear_range),
-                "zoom_range": list(c.train.augment.zoom_range),
-                "elastic_sigma": c.train.augment.elastic_sigma,
-                "elastic_alpha": c.train.augment.elastic_alpha,
-            },
-        },
-        "folds": {"count": c.folds.count, "seed": c.folds.seed},
-        "output_dir": c.output_dir,
-    }
+    return asdict(c, dict_factory=_json_fields)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -29,55 +29,6 @@ def normalize_zscore(values) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
-def _resample(arr: np.ndarray, out_shape: tuple[int, ...], order: int) -> np.ndarray:
-    """Resample with the pixel-centre convention: output index i samples
-    input position (i + 0.5) * in/out - 0.5, clamped at the edges."""
-    if arr.shape == tuple(out_shape):
-        return arr.copy()
-    axes = [(np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-            for n_in, n_out in zip(arr.shape, out_shape)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    out = ndimage.map_coordinates(arr, np.stack(grid), order=order, mode="nearest")
-    return out.astype(np.float64) if order > 0 else out
-
-
-def _resample_image(image: np.ndarray, out_shape: tuple[int, int, int]) -> np.ndarray:
-    channels = [_resample(image[..., c], out_shape, order=1)
-                for c in range(image.shape[-1])]
-    return np.stack(channels, axis=-1)
-
-
-def _pad_to(arr: np.ndarray, shape: tuple[int, int, int], spatial_ndim: int = 3) -> np.ndarray:
-    pads = []
-    for axis in range(spatial_ndim):
-        extra = shape[axis] - arr.shape[axis]
-        if extra < 0:
-            raise ValueError(f"pad shape {shape} smaller than volume {arr.shape[:spatial_ndim]}")
-        pads.append((extra // 2, extra - extra // 2))
-    while len(pads) < arr.ndim:
-        pads.append((0, 0))
-    return np.pad(arr, pads)
-
-
-def standardize_volume(volume: LabeledVolume, target_spacing: tuple[float, float, float],
-                       pad_shape: tuple[int, int, int],
-                       final_shape: tuple[int, int, int]) -> LabeledVolume:
-    """Spacing resample (trilinear image, nearest labels), symmetric zero
-    padding to ``pad_shape``, then resample down to ``final_shape``."""
-    spaced = tuple(int(round(n * s / t)) for n, s, t
-                   in zip(volume.labels.shape, volume.voxel_spacing, target_spacing))
-    if any(n < 1 for n in spaced):
-        raise ValueError(f"resampled shape {spaced} is degenerate")
-    image = _resample_image(volume.image, spaced)
-    labels = _resample(volume.labels, spaced, order=0)
-    image = _pad_to(image, pad_shape)
-    labels = _pad_to(labels, pad_shape)
-    image = _resample_image(image, final_shape)
-    labels = _resample(labels, final_shape, order=0)
-    return LabeledVolume(image=image, labels=labels.astype(volume.labels.dtype),
-                         voxel_spacing=target_spacing, patient_id=volume.patient_id)
-
-
 @dataclass
 class SliceSample:
     """One training example: a stack of neighbouring slices and its target.

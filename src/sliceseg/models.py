@@ -9,7 +9,7 @@ The end-to-end modes run the backbone directly at rank 2 or rank 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,9 +61,7 @@ class ModelSpec:
         return 3 if self.mode == "end2end_3d" else 2
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "backbone": self.backbone, "d": self.d,
-                "in_channels": self.in_channels, "num_classes": self.num_classes,
-                "base_filters": self.base_filters}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -191,13 +189,6 @@ def channel_unfold(x, d: int, channels: int):
 def build_transition_block(d: int, in_channels: int, seed: int = 0,
                            width: int = TRANSITION_WIDTH) -> TransitionBlock:
     return TransitionBlock(np.random.default_rng(seed), d, in_channels, width)
-
-
-def apply_transition_block(block: TransitionBlock, stack: np.ndarray) -> np.ndarray:
-    """Run one unbatched (H, W, d, C) stack through a transition block."""
-    x = Tensor(np.asarray(stack, dtype=np.float64)[None])
-    out = block.forward(x, training=False)
-    return out.data[0]
 
 
 class EncoderDecoder:

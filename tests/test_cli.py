@@ -1,13 +1,24 @@
 """End-to-end checks of the command line verbs on a desk-scale grid."""
+import copy
+import dataclasses
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import analysis, cli, volio
-from sliceseg.config import (ConfigError, config_from_dict, config_to_dict,
+from sliceseg.config import (NORMALIZATIONS, ConfigError, ExperimentConfig,
+                             FoldConfig, GridConfig, SourceConfig,
+                             config_from_dict, config_to_dict, expand_grid,
                              load_config, save_config)
+from sliceseg.data import AugmentParams
+from sliceseg.models import BACKBONES, MODES
+from sliceseg.phantom import dataset_presets, generate_cohort
+from sliceseg.training import TrainConfig
 
 
 def tiny_config(out_dir: str) -> dict:
@@ -52,6 +63,146 @@ def test_unknown_key_names_its_path(tmp_path):
     bad["train"]["learning_rate"] = 0.1
     with pytest.raises(ConfigError, match="train.learning_rate"):
         config_from_dict(bad)
+
+
+_AUGMENT_KEYS = ("elastic_alpha, elastic_sigma, enable_flip, probability,"
+                 " rotation_degrees, shear_range, zoom_range")
+
+# (dotted path to set, or None for the whole config; value; exact message)
+MALFORMED = [
+    ("source.num_volumes", "6", "'source.num_volumes' must be an integer, got '6'"),
+    ("source.seed", True, "'source.seed' must be an integer, got True"),
+    ("train.batch_size", 8.0, "'train.batch_size' must be an integer, got 8.0"),
+    ("train.initial_lr", "fast", "'train.initial_lr' must be a number, got 'fast'"),
+    ("train.initial_lr", True, "'train.initial_lr' must be a number, got True"),
+    ("train.augment.enable_flip", 1,
+     "'train.augment.enable_flip' must be true or false, got 1"),
+    ("source.kind", 3, "'source.kind' must be a string, got 3"),
+    ("output_dir", 5, "'output_dir' must be a string, got 5"),
+    ("train.augment.zoom_range", [0.9],
+     "'train.augment.zoom_range' must be a 2-element list, got [0.9]"),
+    ("train.augment.zoom_range", [0.9, 1.0, 1.1],
+     "'train.augment.zoom_range' must be a 2-element list, got [0.9, 1.0, 1.1]"),
+    ("train.augment.zoom_range", "ab", "'train.augment.zoom_range' must be a list, got 'ab'"),
+    ("train.augment.rotation_degrees", [True, 1.0],
+     "'train.augment.rotation_degrees' must be a number, got True"),
+    ("grid.d_values", [3, "5"], "'grid.d_values' must be an integer, got '5'"),
+    ("grid.modes", [1], "'grid.modes' must be a string, got 1"),
+    ("grid.d_values", 5, "'grid.d_values' must be a list, got 5"),
+    ("grid.modes", None, "'grid.modes' must be a list, got None"),
+    ("grid.modes", "proposed", "'grid.modes' must be a list, got 'proposed'"),
+    ("train.augment.shear", [0, 1],
+     f"unknown key 'train.augment.shear' (allowed: {_AUGMENT_KEYS})"),
+    ("folds.seeds", 0, "unknown key 'folds.seeds' (allowed: count, seed)"),
+    ("extra", 1,
+     "unknown key 'config.extra' (allowed: folds, grid, output_dir, source, train)"),
+    ("grid", "x", "'grid' must be an object"),
+    ("folds", None, "'folds' must be an object"),
+    ("train.augment", [1], "'train.augment' must be an object"),
+    ("train.loss", "focal", "'train': unknown loss 'focal'"),
+    ("train.patience_epochs", 0, "'train': early_stop_epochs must be >= patience_epochs >= 1"),
+    ("folds.count", 1, "'folds.count' must be at least 2"),
+    ("grid.modes", ["nope"],
+     "'grid.modes' entry 'nope' not in ('end2end_2d', 'proposed', 'channel_based', 'end2end_3d')"),
+    (None, [1, 2], "top-level config must be an object"),
+]
+
+
+def _with(path, value) -> object:
+    if path is None:
+        return value
+    cfg = copy.deepcopy(tiny_config("x"))
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path,value,message", MALFORMED,
+                         ids=[f"{path or 'config'}={value!r}" for path, value, _ in MALFORMED])
+def test_malformed_config_message(path, value, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_with(path, value))
+    assert str(err.value) == message
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_pairs = st.tuples(_finite, _finite)
+
+
+@st.composite
+def _train_configs(draw) -> TrainConfig:
+    patience = draw(st.integers(1, 50))
+    return TrainConfig(
+        initial_lr=draw(st.floats(0.0, 1e3, exclude_min=True)),
+        lr_drop_factor=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        patience_epochs=patience,
+        early_stop_epochs=draw(st.integers(patience, 100)),
+        max_epochs=draw(st.integers(1, 10**6)),
+        min_improvement=draw(_finite), l2_coefficient=draw(_finite),
+        batch_size=draw(st.integers(1, 10**6)), seed=draw(st.integers()),
+        loss=draw(st.sampled_from(("combined", "dice"))),
+        augment=draw(st.builds(AugmentParams, probability=_finite,
+                               enable_flip=st.booleans(), rotation_degrees=_pairs,
+                               shear_range=_pairs, zoom_range=_pairs,
+                               elastic_sigma=_finite, elastic_alpha=_finite)))
+
+
+_configs = st.builds(
+    ExperimentConfig,
+    source=st.builds(SourceConfig, kind=st.sampled_from(("phantom", "volumes")),
+                     preset=st.text(), num_volumes=st.integers(1, 10**6),
+                     seed=st.integers(), directory=st.text(min_size=1),
+                     normalization=st.sampled_from(NORMALIZATIONS)),
+    grid=st.builds(GridConfig,
+                   modes=st.lists(st.sampled_from(MODES), min_size=1).map(tuple),
+                   backbones=st.lists(st.sampled_from(BACKBONES), min_size=1).map(tuple),
+                   d_values=st.lists(st.integers(), min_size=1).map(tuple),
+                   base_filters=st.integers(), patch_depth=st.integers()),
+    train=_train_configs(),
+    folds=st.builds(FoldConfig, count=st.integers(2, 100), seed=st.integers()),
+    output_dir=st.text())
+
+
+@settings(deadline=None, max_examples=100)
+@given(_configs)
+def test_config_dict_roundtrip_property(cfg):
+    raw = json.loads(json.dumps(config_to_dict(cfg)))
+    assert config_from_dict(raw) == cfg
+
+
+def test_saved_config_bytes_are_pinned(tmp_path):
+    """Run directories store config.json; its bytes must not drift."""
+    want = {"tiny": "41669bf021bd9fca1299745f1dc6d2839c0a7a6a633de585ac1481da48a0c139",
+            "default": "e95f34b860267d8cd2784b4279b6972984f11f1a39b1918262077801baaae170"}
+    for name, cfg in (("tiny", config_from_dict(tiny_config("somewhere"))),
+                      ("default", ExperimentConfig())):
+        path = str(tmp_path / f"{name}.json")
+        save_config(cfg, path)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want[name], name
+
+
+def test_cell_hash_is_pinned():
+    """Completion markers hold this hash; a change stops old runs resuming."""
+    cfg = config_from_dict(tiny_config("somewhere"))
+    specs = expand_grid(cfg.grid, in_channels=1, num_classes=3)
+    hashes = [[cli._cell_hash(spec, cfg, fold, "f" * 64) for fold in (0, 1)]
+              for spec in specs]
+    assert hashes == [["096e1b725496d52e", "9a219ef8f2bba346"],
+                      ["6875a3c01ebc2797", "fc1e36229aa4ac34"]]
+
+
+def test_non_list_grid_field_exits_nonzero(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_with("grid.d_values", 5), fh)
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'grid.d_values'")
+    assert "Traceback" not in err
 
 
 def test_unknown_key_exits_nonzero(tmp_path, capsys):
@@ -151,6 +302,33 @@ def test_aggregate_refuses_incomplete_run(tmp_path, capsys):
                 os.path.join(out_dir, "config.json"))
     assert cli.main(["aggregate", out_dir]) == 1
     assert "missing result" in capsys.readouterr().err
+
+
+def test_class_count_spans_the_whole_cohort(tmp_path, capsys):
+    """A first case without the top class must not shrink the label set."""
+    cases = str(tmp_path / "cases")
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    first = volumes[0]
+    top = first.labels.max()
+    volumes[0] = dataclasses.replace(
+        first, labels=np.where(first.labels == top, 0, first.labels).astype(first.labels.dtype))
+    for volume in volumes:
+        volio.save_case(cases, volume)
+    assert cli.cohort_num_classes(volumes[:1]) == top
+    assert cli.cohort_num_classes(volumes) == top + 1
+
+    raw = tiny_config(str(tmp_path / "run"))
+    raw["source"] = {"kind": "volumes", "directory": cases}
+    raw["grid"]["modes"] = ["end2end_2d"]
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    assert cli.main(["run", cfg_path]) == 0
+    with open(tmp_path / "run" / "cells" / "end2end_2d-unet-d01" / "fold0" / "metrics.json",
+              "r", encoding="utf-8") as fh:
+        assert len(json.load(fh)["per_class_dsc"]) == top + 1
+    assert cli.main(["profile", cfg_path]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from sliceseg import volio
 from sliceseg.data import (AugmentParams, SliceSample, augment, extract_stack,
-                           make_folds, normalize_ct, normalize_zscore,
-                           standardize_volume)
+                           make_folds, normalize_ct, normalize_zscore)
 from sliceseg.phantom import LabeledVolume, PhantomRecipe, generate_phantom
 
 
@@ -55,38 +54,6 @@ def test_zscore_normalization_moments():
 def test_zscore_rejects_constant_input():
     with pytest.raises(ValueError):
         normalize_zscore(np.full(10, 3.3))
-
-
-# ---------------------------------------------------------------------------
-# geometric standardization
-
-
-def test_standardize_identity_when_everything_matches():
-    v = make_volume()
-    out = standardize_volume(v, (1.0, 1.0, 1.0), (16, 16, 8), (16, 16, 8))
-    assert np.allclose(out.image, v.image)
-    assert np.array_equal(out.labels, v.labels)
-
-
-def test_standardize_spacing_resample():
-    v = LabeledVolume(image=np.ones((8, 8, 4, 1)), labels=np.ones((8, 8, 4), np.uint8),
-                      voxel_spacing=(2.0, 2.0, 2.0), patient_id="p")
-    out = standardize_volume(v, (1.0, 1.0, 1.0), (16, 16, 8), (16, 16, 8))
-    assert out.labels.shape == (16, 16, 8)
-    assert out.image.shape == (16, 16, 8, 1)
-    assert set(np.unique(out.labels)) <= {0, 1}
-
-
-def test_standardize_pad_then_downsample():
-    v = make_volume(shape=(10, 12, 6))
-    out = standardize_volume(v, (1.0, 1.0, 1.0), (16, 16, 8), (8, 8, 4))
-    assert out.labels.shape == (8, 8, 4)
-
-
-def test_standardize_rejects_small_pad_target():
-    v = make_volume(shape=(16, 16, 8))
-    with pytest.raises(ValueError):
-        standardize_volume(v, (1.0, 1.0, 1.0), (8, 8, 8), (8, 8, 8))
 
 
 # ---------------------------------------------------------------------------
