@@ -41,9 +41,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -120,20 +117,22 @@ def topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every tensor below ``loss`` that requires it.
 
-    The loss must be scalar. Each node's backward closure runs exactly
-    once, in reverse topological order; leaves on branches that do not
-    influence the loss end up with zero gradients rather than None.
+    The loss must be scalar. Closures run in reverse topological order,
+    only on nodes a gradient reached, and free that gradient once run;
+    leaves on branches that do not influence the loss end up with zero
+    gradients rather than None.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     order = topo_order(loss)
-    for node in order:
-        if node.requires_grad and node.grad is None:
-            node.grad = np.zeros_like(node.data)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
+        if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
+    for node in order:
+        if node.requires_grad and node._backward is None and node.grad is None:
+            node.grad = np.zeros_like(node.data)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from .data import AugmentParams
+from .data import AugmentParams, check_fold_sizes
 from .models import BACKBONES, MODES, ModelSpec
 from .training import TrainConfig
 
@@ -71,6 +71,16 @@ class GridConfig:
         needs_d = any(m in ("proposed", "channel_based") for m in self.modes)
         if needs_d and not self.d_values:
             raise ConfigError("'grid.d_values' must not be empty for pseudo-3D modes")
+        # ModelSpec's rule per cell; channel and class counts come with the data
+        cells = [("base_filters", "end2end_2d", 1)] + [
+            ("patch_depth" if mode == "end2end_3d" else "d_values", mode, d)
+            for mode in self.modes for d in _mode_depths(self, mode)]
+        for name, mode, d in cells:
+            try:
+                ModelSpec(mode=mode, backbone=self.backbones[0], d=d, in_channels=1,
+                          num_classes=2, base_filters=self.base_filters)
+            except ValueError as e:
+                raise ConfigError(f"'grid.{name}': {e}") from e
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,13 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     folds: FoldConfig = field(default_factory=FoldConfig)
     output_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.source.kind == "phantom":
+            try:
+                check_fold_sizes(self.source.num_volumes, self.folds.count)
+            except ValueError as e:
+                raise ConfigError(f"'folds.count': {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +194,11 @@ def expand_grid(grid: GridConfig, in_channels: int, num_classes: int) -> list[Mo
     contribute a single cell each (d=1 and d=patch_depth). The default
     grid over one backbone yields 14 cells.
     """
-    cells = []
-    for backbone in grid.backbones:
-        for mode in grid.modes:
-            if mode == "end2end_2d":
-                ds = [1]
-            elif mode == "end2end_3d":
-                ds = [grid.patch_depth]
-            else:
-                ds = list(grid.d_values)
-            for d in ds:
-                cells.append(ModelSpec(mode=mode, backbone=backbone, d=d,
-                                       in_channels=in_channels, num_classes=num_classes,
-                                       base_filters=grid.base_filters))
-    return cells
+    return [ModelSpec(mode=mode, backbone=backbone, d=d, in_channels=in_channels,
+                      num_classes=num_classes, base_filters=grid.base_filters)
+            for backbone in grid.backbones for mode in grid.modes
+            for d in _mode_depths(grid, mode)]
+
+
+def _mode_depths(grid: GridConfig, mode: str) -> tuple[int, ...]:
+    return {"end2end_2d": (1,), "end2end_3d": (grid.patch_depth,)}.get(mode, grid.d_values)

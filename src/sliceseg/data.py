@@ -166,19 +166,27 @@ def make_folds(patient_ids, num_folds: int = 5, seed: int = 0,
     ids = list(patient_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("patient ids must be unique")
-    if num_folds < 2:
-        raise ValueError("need at least 2 folds")
+    check_fold_sizes(len(ids), num_folds, val_fraction)
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
     blocks = [list(b) for b in np.array_split(np.array(order, dtype=object), num_folds)]
     folds = []
     for k in range(num_folds):
-        test = blocks[k]
         rest = [pid for j, b in enumerate(blocks) if j != k for pid in b]
         n_val = int(round(val_fraction * len(rest)))
-        val, train = rest[:n_val], rest[n_val:]
-        if not train or not val or not test:
-            raise ValueError(f"{len(ids)} patients are too few for {num_folds} folds "
-                             "with non-empty train/val/test")
-        folds.append(FoldSplit(train=tuple(train), val=tuple(val), test=tuple(test)))
+        folds.append(FoldSplit(train=tuple(rest[n_val:]), val=tuple(rest[:n_val]),
+                               test=tuple(blocks[k])))
     return folds
+
+
+def check_fold_sizes(num_patients: int, num_folds: int, val_fraction: float = 0.2) -> None:
+    """Raise ``ValueError`` unless every fold of ``make_folds`` gets non-empty
+    train, val and test partitions; needs the counts only, not the ids."""
+    if num_folds < 2:
+        raise ValueError("need at least 2 folds")
+    # array_split's test blocks hold floor(n/k) or ceil(n/k) patients
+    for test in {num_patients // num_folds, -(-num_patients // num_folds)}:
+        n_val = int(round(val_fraction * (num_patients - test)))
+        if min(test, n_val, num_patients - test - n_val) < 1:
+            raise ValueError(f"{num_patients} patients are too few for {num_folds} folds "
+                             "with non-empty train/val/test")

@@ -3,9 +3,10 @@
 All ops take channels-last batched tensors: rank-2 data is (N, H, W, C)
 and rank-3 data is (N, H, W, D, C). Kernels are stored spatial-first,
 (k1, ..., kr, Cin, Cout). Convolution is evaluated by gathering windows
-into a column matrix and multiplying (im2col); the backward pass rebuilds
-the windows from the saved input instead of keeping the column matrix
-alive.
+into a column matrix and multiplying (im2col). Backward regathers the
+input windows for the weight gradient rather than keeping the column
+matrix alive, and gets the input gradient as a correlation of the output
+gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
 """
 from __future__ import annotations
 
@@ -64,9 +65,8 @@ def _im2col(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     win = win.transpose(perm)
     n = xp.shape[0]
     out_spatial = win.shape[1:1 + rank]
-    cols = np.ascontiguousarray(win).reshape(
+    return np.ascontiguousarray(win).reshape(
         n * int(np.prod(out_spatial)), int(np.prod(kernel)) * xp.shape[-1])
-    return cols
 
 
 def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
@@ -99,9 +99,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
 
     pad_spec = ((0, 0),) + tuple((p, p) for p in pads) + ((0, 0),)
     xp = np.pad(x.data, pad_spec) if any(pads) else x.data
-    cols = _im2col(xp, kernel)
-    wmat = w.data.reshape(-1, cout)
-    y = cols @ wmat
+    y = _im2col(xp, kernel) @ w.data.reshape(-1, cout)
     if b is not None:
         if b.data.shape != (cout,):
             raise ValueError(f"bias shape {b.data.shape} does not match {cout} filters")
@@ -114,21 +112,16 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     def bwd(g):
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
-            cols_b = _im2col(xp, kernel)
-            accumulate_grad(w, (cols_b.T @ gmat).reshape(w.data.shape))
+            accumulate_grad(w, (_im2col(xp, kernel).T @ gmat).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, gmat.sum(axis=0))
         if x.requires_grad:
-            gcols = (gmat @ wmat.T).reshape((n, *out_spatial, *kernel, cin))
-            gxp = np.zeros_like(xp)
-            for idx in np.ndindex(*kernel):
-                window = tuple(slice(i, i + o) for i, o in zip(idx, out_spatial))
-                sel = (slice(None), *([slice(None)] * rank), *idx, slice(None))
-                gxp[(slice(None), *window, slice(None))] += gcols[sel]
-            if any(pads):
-                unpad = tuple(slice(p, s - p) for p, s in zip(pads, gxp.shape[1:1 + rank]))
-                gxp = gxp[(slice(None), *unpad, slice(None))]
-            accumulate_grad(x, gxp)
+            # k-1-p padding makes the correlation come out at x's shape
+            gp = np.pad(g, ((0, 0),) + tuple((k - 1 - p,) * 2 for k, p in zip(kernel, pads))
+                        + ((0, 0),))
+            wflip = np.flip(w.data, tuple(range(rank))).swapaxes(rank, rank + 1)
+            accumulate_grad(x, (_im2col(gp, kernel) @ wflip.reshape(-1, cin))
+                            .reshape(x.data.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(y, parents, f"conv{rank}d", bwd)
@@ -304,12 +297,6 @@ class RunningStats:
     def __init__(self, channels: int):
         self.mean = np.zeros(channels, dtype=np.float64)
         self.var = np.ones(channels, dtype=np.float64)
-
-    def copy(self) -> "RunningStats":
-        out = RunningStats(self.mean.size)
-        out.mean = self.mean.copy()
-        out.var = self.var.copy()
-        return out
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,

@@ -13,6 +13,7 @@ label map.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .phantom import LabeledVolume
 MAGIC = b"SSV1"
 DTYPE_IMAGE = 0
 DTYPE_LABELS = 1
+DTYPES = {DTYPE_IMAGE: np.dtype("<f4"), DTYPE_LABELS: np.dtype(np.uint8)}
 IMAGE_SUFFIX = ".image.ssv"
 LABELS_SUFFIX = ".labels.ssv"
 
@@ -46,24 +48,31 @@ def write_array(path, array: np.ndarray) -> None:
 
 
 def read_array(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a volume file (bad magic {magic!r})")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        extents = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        (tag,) = struct.unpack("<B", fh.read(1))
-        if tag == DTYPE_IMAGE:
-            dtype = np.dtype("<f4")
-        elif tag == DTYPE_LABELS:
-            dtype = np.dtype(np.uint8)
-        else:
-            raise ValueError(f"{path}: unknown dtype tag {tag}")
-        count = int(np.prod(extents)) if rank else 1
-        data = fh.read(count * dtype.itemsize)
-        if len(data) != count * dtype.itemsize:
-            raise ValueError(f"{path}: truncated payload")
-        return np.frombuffer(data, dtype=dtype).reshape(extents)
+    """Read one array file; a file cut short anywhere, with bytes after its
+    payload or with an unknown magic or tag raises ``ValueError``."""
+    raw = Path(path).read_bytes()
+
+    def unpack(fmt: str, start: int, what: str) -> tuple:
+        if len(raw) < start + struct.calcsize(fmt):
+            raise ValueError(f"{path}: truncated {what} ({len(raw)} bytes)")
+        return struct.unpack_from(fmt, raw, start)
+
+    (magic,) = unpack("4s", 0, "magic")
+    if magic != MAGIC:
+        raise ValueError(f"{path}: not a volume file (bad magic {magic!r})")
+    (rank,) = unpack("<I", 4, "rank")
+    extents = unpack(f"<{rank}I", 8, "extents")
+    (tag,) = unpack("<B", 8 + 4 * rank, "dtype tag")
+    if tag not in DTYPES:
+        raise ValueError(f"{path}: unknown dtype tag {tag}")
+    start = 9 + 4 * rank
+    end = start + math.prod(extents) * DTYPES[tag].itemsize
+    if len(raw) < end:
+        raise ValueError(f"{path}: truncated payload ({len(raw) - start} of"
+                         f" {end - start} bytes)")
+    if len(raw) > end:
+        raise ValueError(f"{path}: {len(raw) - end} trailing bytes after the payload")
+    return np.frombuffer(raw, dtype=DTYPES[tag], offset=start).reshape(extents)
 
 
 def save_case(directory, volume: LabeledVolume) -> None:

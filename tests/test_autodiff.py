@@ -50,6 +50,20 @@ def test_tensor_outside_graph_keeps_none_grad():
     assert np.allclose(x.grad, 1.0)
 
 
+def test_backward_frees_interior_grads_and_zeros_unreached_leaves():
+    # "first" routes its gradient to x only, so p's branch never sees one
+    x, p = t([1.0, 2.0]), t([3.0, 4.0])
+    hidden = ad.scale(p, 2.0)
+    first = ad._node(x.data.copy(), (x, hidden), "first",
+                     lambda g: ad.accumulate_grad(x, g))
+    y = ad.mul(first, first)
+    loss = ad.sum_all(y)
+    backward(loss)
+    assert [n.grad for n in (hidden, first, y, loss)] == [None] * 4
+    assert np.array_equal(p.grad, np.zeros(2))
+    assert np.allclose(x.grad, 2.0 * x.data)
+
+
 def test_repeated_backward_accumulates():
     x = t([1.0, 2.0])
     backward(ad.sum_all(x))

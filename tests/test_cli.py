@@ -105,6 +105,14 @@ MALFORMED = [
     ("grid.modes", ["nope"],
      "'grid.modes' entry 'nope' not in ('end2end_2d', 'proposed', 'channel_based', 'end2end_3d')"),
     (None, [1, 2], "top-level config must be an object"),
+    ("grid.d_values", [3, 4], "'grid.d_values': proposed mode requires odd d >= 3"),
+    ("grid.d_values", [1], "'grid.d_values': proposed mode requires odd d >= 3"),
+    ("grid", {"modes": ["end2end_3d"], "patch_depth": 12},
+     "'grid.patch_depth': end2end_3d requires patch depth divisible by 8"),
+    ("grid.base_filters", 0, "'grid.base_filters': in_channels >= 1, num_classes >= 2,"
+     " base_filters >= 1 required"),
+    ("source.num_volumes", 4,
+     "'folds.count': 4 patients are too few for 2 folds with non-empty train/val/test"),
 ]
 
 
@@ -150,24 +158,30 @@ def _train_configs(draw) -> TrainConfig:
                                elastic_sigma=_finite, elastic_alpha=_finite)))
 
 
-_configs = st.builds(
-    ExperimentConfig,
-    source=st.builds(SourceConfig, kind=st.sampled_from(("phantom", "volumes")),
-                     preset=st.text(), num_volumes=st.integers(1, 10**6),
-                     seed=st.integers(), directory=st.text(min_size=1),
-                     normalization=st.sampled_from(NORMALIZATIONS)),
-    grid=st.builds(GridConfig,
-                   modes=st.lists(st.sampled_from(MODES), min_size=1).map(tuple),
-                   backbones=st.lists(st.sampled_from(BACKBONES), min_size=1).map(tuple),
-                   d_values=st.lists(st.integers(), min_size=1).map(tuple),
-                   base_filters=st.integers(), patch_depth=st.integers()),
-    train=_train_configs(),
-    folds=st.builds(FoldConfig, count=st.integers(2, 100), seed=st.integers()),
-    output_dir=st.text())
+@st.composite
+def _configs(draw) -> ExperimentConfig:
+    # only buildable grids and, for phantoms, enough volumes for every fold
+    folds = draw(st.builds(FoldConfig, count=st.integers(2, 100), seed=st.integers()))
+    kind = draw(st.sampled_from(("phantom", "volumes")))
+    fewest = 2 * folds.count + 3 if kind == "phantom" else 1
+    return ExperimentConfig(
+        source=draw(st.builds(SourceConfig, kind=st.just(kind), preset=st.text(),
+                              num_volumes=st.integers(fewest, 10**6),
+                              seed=st.integers(), directory=st.text(min_size=1),
+                              normalization=st.sampled_from(NORMALIZATIONS))),
+        grid=draw(st.builds(
+            GridConfig,
+            modes=st.lists(st.sampled_from(MODES), min_size=1).map(tuple),
+            backbones=st.lists(st.sampled_from(BACKBONES), min_size=1).map(tuple),
+            d_values=st.lists(st.integers(1, 10**6).map(lambda i: 2 * i + 1),
+                              min_size=1).map(tuple),
+            base_filters=st.integers(1, 10**6),
+            patch_depth=st.integers(1, 10**6).map(lambda i: 8 * i))),
+        train=draw(_train_configs()), folds=folds, output_dir=draw(st.text()))
 
 
 @settings(deadline=None, max_examples=100)
-@given(_configs)
+@given(_configs())
 def test_config_dict_roundtrip_property(cfg):
     raw = json.loads(json.dumps(config_to_dict(cfg)))
     assert config_from_dict(raw) == cfg
@@ -203,6 +217,19 @@ def test_non_list_grid_field_exits_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: 'grid.d_values'")
     assert "Traceback" not in err
+
+
+def test_unbuildable_grid_exits_before_any_phantom(tmp_path, capsys, monkeypatch):
+    def no_cohort(*args, **kwargs):
+        raise AssertionError("a phantom was generated")
+
+    monkeypatch.setattr(cli, "generate_cohort", no_cohort)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"grid": {"modes": ["proposed"], "d_values": [4]}}, fh)
+    assert cli.main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'grid.d_values': proposed mode requires odd d >= 3\n")
 
 
 def test_unknown_key_exits_nonzero(tmp_path, capsys):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sliceseg import volio
-from sliceseg.data import (AugmentParams, SliceSample, augment, extract_stack,
-                           make_folds, normalize_ct, normalize_zscore)
+from sliceseg.data import (AugmentParams, SliceSample, augment, check_fold_sizes,
+                           extract_stack, make_folds, normalize_ct, normalize_zscore)
 from sliceseg.phantom import LabeledVolume, PhantomRecipe, generate_phantom
 
 
@@ -192,6 +193,32 @@ def test_folds_reject_duplicates_and_tiny_cohorts():
         make_folds(["a", "b"], num_folds=5)
 
 
+def _every_fold_filled(n, k, val_fraction):
+    # the per-fold emptiness check make_folds ran before the size rule
+    blocks = np.array_split(np.arange(n), k)
+    for i, test in enumerate(blocks):
+        rest = [pid for j, b in enumerate(blocks) if j != i for pid in b]
+        n_val = int(round(val_fraction * len(rest)))
+        if not (len(test) and rest[:n_val] and rest[n_val:]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("val_fraction", [0.1, 0.2, 0.5])
+def test_fold_size_rule_matches_the_built_partitions(val_fraction):
+    for n in range(40):
+        for k in range(2, 12):
+            if _every_fold_filled(n, k, val_fraction):
+                check_fold_sizes(n, k, val_fraction)
+                folds = make_folds(range(n), k, val_fraction=val_fraction)
+                assert all(f.train and f.val and f.test for f in folds)
+            else:
+                for check in (lambda: check_fold_sizes(n, k, val_fraction),
+                              lambda: make_folds(range(n), k, val_fraction=val_fraction)):
+                    with pytest.raises(ValueError, match="too few"):
+                        check()
+
+
 # ---------------------------------------------------------------------------
 # case serialization
 
@@ -220,8 +247,8 @@ def test_case_listing_empty_dir_raises(tmp_path):
 
 def test_read_rejects_truncated_file(tmp_path):
     volio.save_case(tmp_path, make_volume(pid="t0", seed=2))
-    path = os.path.join(tmp_path, "t0.image.ssv")
-    blob = open(path, "rb").read()
+    path = tmp_path / "t0.image.ssv"
+    blob = path.read_bytes()
     with open(path, "wb") as fh:
         fh.write(blob[:len(blob) // 2])
     with pytest.raises(ValueError):
@@ -230,10 +257,50 @@ def test_read_rejects_truncated_file(tmp_path):
 
 def test_read_rejects_bad_magic(tmp_path):
     volio.save_case(tmp_path, make_volume(pid="m0", seed=3))
-    path = os.path.join(tmp_path, "m0.labels.ssv")
-    blob = bytearray(open(path, "rb").read())
+    path = tmp_path / "m0.labels.ssv"
+    blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
     with pytest.raises(ValueError):
         volio.load_case(tmp_path, "m0")
+
+
+def test_read_names_each_truncated_header_field(tmp_path):
+    path = tmp_path / "a.ssv"
+    volio.write_array(path, np.zeros((2, 3), dtype=np.uint8))
+    blob = path.read_bytes()
+    # magic 0-4, rank 4-8, extents 8-16, tag 16, payload 17-23
+    for cut, cause in ((2, "truncated magic"), (6, "truncated rank"),
+                       (12, "truncated extents"), (16, "truncated dtype tag"),
+                       (20, "truncated payload")):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=f"a.ssv: {cause}"):
+            volio.read_array(path)
+    path.write_bytes(blob + b"junk")
+    with pytest.raises(ValueError, match="a.ssv: 4 trailing bytes"):
+        volio.read_array(path)
+
+
+_stored_arrays = st.one_of(
+    arrays(np.uint8, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)),
+    arrays(np.float32, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+           elements=st.floats(-1e3, 1e3, width=32)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_stored_arrays, st.data())
+def test_read_fuzzed_file_raises_or_roundtrips(tmp_path_factory, array, data):
+    path = tmp_path_factory.mktemp("fuzz") / "a.ssv"
+    volio.write_array(path, array)
+    blob = path.read_bytes()
+    # a strict prefix, the file itself, or the file with bytes appended
+    cut = data.draw(st.integers(0, len(blob)), label="cut")
+    extra = data.draw(st.binary(max_size=8), label="extra") if cut == len(blob) else b""
+    path.write_bytes(blob[:cut] + extra)
+    if cut == len(blob) and not extra:
+        back = volio.read_array(path)
+        assert back.shape == array.shape and np.array_equal(back, array)
+    else:
+        with pytest.raises(ValueError, match="a.ssv: "):
+            volio.read_array(path)

@@ -102,6 +102,51 @@ def test_conv3d_valid_depth_gradients():
     assert report.max_rel_error < 1e-6
 
 
+def _scatter_input_grad(x, w, g, padded_axes):
+    """Reference input gradient of ``conv_forward``: multiply the output
+    gradient by the transposed kernel matrix, then scatter-add every
+    kernel offset's columns into a zeroed padded buffer and crop it."""
+    rank = w.ndim - 2
+    kernel, cin, cout = w.shape[:rank], w.shape[rank], w.shape[rank + 1]
+    pads = tuple(k // 2 if p else 0 for k, p in zip(kernel, padded_axes))
+    out_spatial = g.shape[1:1 + rank]
+    gcols = (g.reshape(-1, cout) @ w.reshape(-1, cout).T).reshape(
+        (x.shape[0], *out_spatial, *kernel, cin))
+    gxp = np.zeros((x.shape[0], *(s + 2 * p for s, p in zip(x.shape[1:1 + rank], pads)), cin))
+    for idx in np.ndindex(*kernel):
+        window = tuple(slice(i, i + o) for i, o in zip(idx, out_spatial))
+        sel = (slice(None), *([slice(None)] * rank), *idx, slice(None))
+        gxp[(slice(None), *window, slice(None))] += gcols[sel]
+    unpad = tuple(slice(p, s - p) for p, s in zip(pads, gxp.shape[1:1 + rank]))
+    return gxp[(slice(None), *unpad, slice(None))]
+
+
+@st.composite
+def _conv_cases(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    k = draw(st.sampled_from((1, 3)))
+    padded = tuple(draw(st.lists(st.booleans(), min_size=rank, max_size=rank)))
+    shape = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(3, 5), min_size=rank,
+                                                     max_size=rank)),
+             draw(st.integers(1, 4)))
+    return padded, shape, (k,) * rank + (shape[-1], draw(st.integers(1, 4))), draw(
+        st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_conv_cases())
+def test_conv_input_grad_matches_scatter_reference(case):
+    padded, x_shape, w_shape, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    y = ops.conv_forward(x, w, None, padded)
+    g = rng.normal(size=y.data.shape)
+    backward(sum_all(mul(y, Tensor(g))))
+    want = _scatter_input_grad(x.data, w.data, g, padded)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 # ---------------------------------------------------------------------------
 # transposed convolution
 
