@@ -8,7 +8,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import ops
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .models import SegmentationModel
 
 # 26-connectivity: any of the 3x3x3 neighbours joins two voxels.
@@ -143,7 +143,7 @@ def _model_input_shape(model: SegmentationModel, in_plane: tuple[int, int]) -> t
 def _traced_forward(model: SegmentationModel, in_plane: tuple[int, int]) -> list[ops.OpCost]:
     x = Tensor(np.zeros(_model_input_shape(model, in_plane)))
     records: list[ops.OpCost] = []
-    with ops.cost_trace(records):
+    with ops.cost_trace(records), no_grad():
         model.forward(x, training=False)
     return records
 
@@ -195,7 +195,8 @@ def cost_report(model: SegmentationModel, in_plane: tuple[int, int],
         adam_step(params, state, 1e-4)
         report.seconds_per_training_step = time.perf_counter() - t0
         t0 = time.perf_counter()
-        model.forward(Tensor(x[:1]), training=False)
+        with no_grad():
+            model.forward(Tensor(x[:1]), training=False)
         report.seconds_per_prediction = time.perf_counter() - t0
     return report
 

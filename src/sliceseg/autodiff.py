@@ -3,10 +3,14 @@
 Every value flowing through a model is a :class:`Tensor`. Applying an
 operation builds a node that remembers its parent tensors and a closure
 that routes the output gradient back to them, so a full forward pass
-leaves behind the computation graph needed by :func:`backward`.
+leaves behind the computation graph needed by :func:`backward`. Inside
+:func:`no_grad` ops return bare tensors instead, so inference keeps no
+graph alive.
 """
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -68,12 +72,35 @@ class Tensor:
         return add_const(self, -float(other))
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph in this thread: op results inside the block are bare
+    tensors with no parents and no backward closure, whatever their inputs
+    require. The previous setting is restored on exit, so blocks nest."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap an op result. The backward closure is dropped when no parent
-    needs gradients, so inference passes build no backward machinery."""
+    """Wrap an op result. Under :func:`no_grad` the result keeps neither
+    parents nor closure; otherwise the closure is kept when some parent
+    needs gradients."""
     out = Tensor(data)
     out.op = op
+    if not _grad_mode.enabled:
+        return out
     out.parents = tuple(parents)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -246,6 +273,17 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         accumulate_grad(x, g.reshape(x.data.shape))
 
     return _node(x.data.reshape(shape), (x,), "reshape", bwd)
+
+
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Permute axes as ``np.transpose``; backward applies the inverse
+    permutation."""
+    inverse = tuple(np.argsort(axes))
+
+    def bwd(g):
+        accumulate_grad(x, g.transpose(inverse))
+
+    return _node(x.data.transpose(axes), (x,), "transpose", bwd)
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:

@@ -47,6 +47,8 @@ class SourceConfig:
             raise ConfigError("'source.num_volumes' must be positive")
         if self.kind == "volumes" and not self.directory:
             raise ConfigError("'source.directory' required when kind is volumes")
+        if self.seed < 0:
+            raise ConfigError(f"'source.seed' must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class FoldConfig:
     def __post_init__(self):
         if self.count < 2:
             raise ConfigError("'folds.count' must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"'folds.seed' must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,13 @@ class SliceSample:
     slice_index: int
 
 
+def depth_window(image: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Slices lo..hi-1 of an (H, W, D, C) image along depth, indices
+    outside the volume replaced by the nearest boundary slice (edge
+    replication)."""
+    return image[:, :, np.clip(np.arange(lo, hi), 0, image.shape[2] - 1), :]
+
+
 def extract_stack(volume: LabeledVolume, center: int, d: int) -> SliceSample:
     """Take the d slices centred on ``center`` plus that slice's labels.
 
@@ -54,8 +61,7 @@ def extract_stack(volume: LabeledVolume, center: int, d: int) -> SliceSample:
     if not 0 <= center < depth:
         raise ValueError(f"slice {center} outside volume of depth {depth}")
     r = d // 2
-    idx = np.clip(np.arange(center - r, center + r + 1), 0, depth - 1)
-    return SliceSample(stack=volume.image[:, :, idx, :],
+    return SliceSample(stack=depth_window(volume.image, center - r, center + r + 1),
                        target=volume.labels[:, :, center],
                        patient_id=volume.patient_id, slice_index=center)
 

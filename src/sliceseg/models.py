@@ -124,7 +124,9 @@ class TransitionBlock:
 
     floor(d/2) rank-3 conv blocks, padded in-plane but not along the stack
     axis, so every block trims one slice from each side; after the last
-    block a single slice remains and the depth axis is squeezed away.
+    block a single slice remains per window of d slices. A deeper stack of
+    D slices yields one slice for each of its D-d+1 windows, and each of
+    them depends only on its own window.
     """
 
     def __init__(self, rng, d: int, in_channels: int, width: int = TRANSITION_WIDTH):
@@ -143,7 +145,10 @@ class TransitionBlock:
         return list(range(self.depth, 0, -2))
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.data.shape[3] != self.depth:
+        """(N, H, W, D, C) with D >= d -> (N * (D-d+1), H, W, width), the
+        window index moved into the batch axis (row n * (D-d+1) + j is
+        window j of input n). D == d gives one feature slice per input."""
+        if x.data.shape[3] < self.depth:
             raise ValueError(f"transition block built for depth {self.depth}, "
                              f"input has depth {x.data.shape[3]}")
         trace = [x.data.shape[3]]
@@ -152,8 +157,8 @@ class TransitionBlock:
             t = blk.forward(t, training)
             trace.append(t.data.shape[3])
         self.last_depth_trace = trace
-        n, h, w, _, c = t.data.shape
-        return ad.reshape(t, (n, h, w, c))
+        n, h, w, windows, c = t.data.shape
+        return ad.reshape(ad.transpose(t, (0, 3, 1, 2, 4)), (n * windows, h, w, c))
 
     def iter_layers(self, prefix: str):
         for i, blk in enumerate(self.blocks):

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward
-from .data import AugmentParams, SliceSample, augment, extract_stack
+from .autodiff import Tensor, backward, no_grad
+from .data import AugmentParams, SliceSample, augment, depth_window, extract_stack
 from .losses import combined_loss, dice_per_class, soft_dice_loss
 from .models import SegmentationModel
 from .phantom import LabeledVolume
@@ -214,8 +214,10 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
                  config: TrainConfig) -> TrainHistory:
     """Adam training with plateau learning-rate drops, early stopping and
     best-validation checkpointing (the model is left holding the weights
-    of its best validation epoch). The reported losses never include the
-    L2 penalty; it acts on the gradients only."""
+    of its best validation epoch). An epoch whose train or validation
+    loss is not finite ends training with ``stop_reason="non_finite"``.
+    The reported losses never include the L2 penalty; it acts on the
+    gradients only."""
     if not train_samples or not val_samples:
         raise ValueError("training and validation sets must be non-empty")
     num_classes = model.spec.num_classes
@@ -247,8 +249,11 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
             loss_sum += loss.item()
             n_batches += 1
         val_loss, val_dsc = validate(model, val_samples, config)
-        history.records.append(EpochRecord(epoch, loss_sum / n_batches,
-                                           val_loss, val_dsc, schedule.lr))
+        train_loss = loss_sum / n_batches
+        history.records.append(EpochRecord(epoch, train_loss, val_loss, val_dsc, schedule.lr))
+        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+            stop_reason = "non_finite"
+            break
         if val_loss < best_val:
             best_val = val_loss
             best_state = model.state()
@@ -265,48 +270,59 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
 
 
 def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[float, float]:
-    """Mean validation loss plus sample-level mean foreground overlap."""
+    """Mean validation loss plus sample-level mean foreground overlap,
+    building no graph."""
     num_classes = model.spec.num_classes
     loss_sum = 0.0
     dsc_sum = 0.0
     n_batches = 0
     n_samples = 0
-    for batch_idx in _batches(len(samples), config.batch_size):
-        batch = [samples[i] for i in batch_idx]
-        probs, y = _forward_batch(model, batch, num_classes, training=False)
-        loss_sum += config.loss_fn(probs, y).item()
-        n_batches += 1
-        pred = probs.data.argmax(axis=-1)
-        for k, s in enumerate(batch):
-            per_class = dice_per_class(pred[k], np.asarray(s.target), num_classes)
-            dsc_sum += float(np.mean(per_class[1:]))
-            n_samples += 1
+    with no_grad():
+        for batch_idx in _batches(len(samples), config.batch_size):
+            batch = [samples[i] for i in batch_idx]
+            probs, y = _forward_batch(model, batch, num_classes, training=False)
+            loss_sum += config.loss_fn(probs, y).item()
+            n_batches += 1
+            pred = probs.data.argmax(axis=-1)
+            for k, s in enumerate(batch):
+                per_class = dice_per_class(pred[k], np.asarray(s.target), num_classes)
+                dsc_sum += float(np.mean(per_class[1:]))
+                n_samples += 1
     return loss_sum / n_batches, dsc_sum / n_samples
 
 
 def predict_volume(model: SegmentationModel, volume: LabeledVolume,
                    batch_size: int = 8) -> np.ndarray:
-    """Label every voxel of one volume.
+    """Label every voxel of one volume, building no graph.
 
-    Single-slice modes sweep all slice centres; the volumetric mode tiles
-    the depth axis (final tile right-aligned, overlap voxels taken from
-    the later tile).
+    Single-slice modes sweep all slice centres, ``batch_size`` at a time.
+    For the proposed mode each batch of centres is one transition-block
+    pass over those slices plus d//2 edge-replicated neighbours on either
+    side, which yields the same features as one pass per d-slice stack,
+    because the depth convolutions are unpadded and inference batch norm
+    is a per-channel affine map. The volumetric mode tiles the depth axis
+    (final tile right-aligned, overlap voxels taken from the later tile).
     """
     depth = volume.labels.shape[2]
+    d = model.spec.d
     pred = np.zeros(volume.labels.shape, dtype=np.int64)
-    if model.spec.mode == "end2end_3d":
-        for z0 in _tile_starts(depth, model.spec.d):
-            probs = model.forward(Tensor(volume.image[None, :, :, z0:z0 + model.spec.d, :]),
-                                  training=False)
-            pred[:, :, z0:z0 + model.spec.d] = probs.data[0].argmax(axis=-1)
-        return pred
-    samples = [extract_stack(volume, z, model.spec.d) for z in range(depth)]
-    for batch_idx in _batches(depth, batch_size):
-        x = np.stack([samples[i].stack for i in batch_idx])
-        probs = model.forward(Tensor(x), training=False)
-        labels2d = probs.data.argmax(axis=-1)
-        for k, i in enumerate(batch_idx):
-            pred[:, :, int(i)] = labels2d[k]
+    with no_grad():
+        if model.spec.mode == "end2end_3d":
+            for z0 in _tile_starts(depth, d):
+                probs = model.forward(Tensor(volume.image[None, :, :, z0:z0 + d, :]),
+                                      training=False)
+                pred[:, :, z0:z0 + d] = probs.data[0].argmax(axis=-1)
+            return pred
+        for lo in range(0, depth, batch_size):
+            hi = min(lo + batch_size, depth)
+            if model.spec.mode == "proposed":
+                slab = Tensor(depth_window(volume.image, lo - d // 2, hi + d // 2)[None])
+                probs = model.backbone.forward(model.transition.forward(slab, training=False),
+                                               training=False)
+            else:
+                x = np.stack([extract_stack(volume, z, d).stack for z in range(lo, hi)])
+                probs = model.forward(Tensor(x), training=False)
+            pred[:, :, lo:hi] = np.moveaxis(probs.data.argmax(axis=-1), 0, -1)
     return pred
 
 

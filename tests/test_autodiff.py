@@ -7,7 +7,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from sliceseg import autodiff as ad
 from sliceseg.autodiff import Tensor, backward
+from sliceseg.data import extract_stack
 from sliceseg.gradcheck import finite_difference_check
+from sliceseg.losses import combined_loss
+from sliceseg.models import ModelSpec, assemble_model
+from sliceseg.phantom import dataset_presets, generate_cohort
+from sliceseg.training import TrainConfig, build_samples, validate
 
 
 def t(values, requires_grad=True):
@@ -159,6 +164,8 @@ SMOOTH_CASES = {
         ad.mul(c := ad.concat([ad.reshape(a, (6,)), ad.reshape(b, (6,))], 0), c)),
     "softmax_pick": lambda a, b: ad.sum_all(
         ad.mul(ad.softmax(a, axis=-1), ad.softmax(b, axis=-1))),
+    "transpose": lambda a, b: ad.sum_all(
+        ad.mul(ad.transpose(ad.reshape(a, (3, 1, 2)), (2, 0, 1)), ad.reshape(b, (2, 3, 1)))),
 }
 
 
@@ -189,3 +196,57 @@ def test_topo_order_visits_parents_first():
     z = ad.sum_all(y + x)
     order = ad.topo_order(z)
     assert order.index(x) < order.index(y) < order.index(z)
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_results_keep_no_graph():
+    w, x = t([1.0, -2.0]), t([3.0, 4.0], requires_grad=False)
+    with ad.no_grad():
+        y = ad.sum_all(ad.relu(ad.mul(w, x)))
+    assert np.isclose(y.item(), 3.0)
+    assert y.parents == () and y._backward is None and not y.requires_grad
+
+
+def test_no_grad_restores_after_exception_and_nesting():
+    w = t([1.0])
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad.scale(w, 2.0).parents == (w,)
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.scale(w, 2.0).parents == ()
+    assert ad.scale(w, 2.0).requires_grad
+
+
+def test_backward_works_after_no_grad():
+    x = t([1.0, 2.0])
+    with ad.no_grad():
+        ad.sum_all(ad.mul(x, x))
+    backward(ad.sum_all(ad.mul(x, x)))
+    assert np.allclose(x.grad, 2.0 * x.data)
+
+
+def test_validate_matches_graph_building_forward():
+    recipe = dataset_presets()["organ_and_lesion"]
+    volume = generate_cohort(recipe, 1, seed=0)[0]
+    spec = ModelSpec(mode="proposed", backbone="unet", d=3, in_channels=recipe.channels,
+                     num_classes=recipe.num_classes, base_filters=4)
+    model = assemble_model(spec, seed=0)
+    samples = build_samples([volume], spec)[:6]
+    config = TrainConfig(batch_size=4)
+    graph_loss = 0.0
+    for lo in (0, 4):
+        batch = samples[lo:lo + 4]
+        y = np.eye(spec.num_classes)[np.stack([s.target for s in batch]).astype(np.int64)]
+        probs = model.forward(Tensor(np.stack([s.stack for s in batch])))
+        assert probs.parents
+        graph_loss += combined_loss(probs, y).item()
+    loss, dsc = validate(model, samples, config)
+    assert loss == graph_loss / 2
+    with ad.no_grad():
+        assert validate(model, samples, config) == (loss, dsc)

@@ -113,6 +113,8 @@ MALFORMED = [
      " base_filters >= 1 required"),
     ("source.num_volumes", 4,
      "'folds.count': 4 patients are too few for 2 folds with non-empty train/val/test"),
+    ("source.seed", -1, "'source.seed' must be non-negative, got -1"),
+    ("folds.seed", -1, "'folds.seed' must be non-negative, got -1"),
 ]
 
 
@@ -160,14 +162,16 @@ def _train_configs(draw) -> TrainConfig:
 
 @st.composite
 def _configs(draw) -> ExperimentConfig:
-    # only buildable grids and, for phantoms, enough volumes for every fold
-    folds = draw(st.builds(FoldConfig, count=st.integers(2, 100), seed=st.integers()))
+    # only buildable grids, non-negative seeds and, for phantoms, enough
+    # volumes for every fold
+    folds = draw(st.builds(FoldConfig, count=st.integers(2, 100),
+                           seed=st.integers(min_value=0)))
     kind = draw(st.sampled_from(("phantom", "volumes")))
     fewest = 2 * folds.count + 3 if kind == "phantom" else 1
     return ExperimentConfig(
         source=draw(st.builds(SourceConfig, kind=st.just(kind), preset=st.text(),
                               num_volumes=st.integers(fewest, 10**6),
-                              seed=st.integers(), directory=st.text(min_size=1),
+                              seed=st.integers(min_value=0), directory=st.text(min_size=1),
                               normalization=st.sampled_from(NORMALIZATIONS))),
         grid=draw(st.builds(
             GridConfig,

@@ -90,6 +90,23 @@ def test_transition_rejects_wrong_depth():
         block.forward(Tensor(np.zeros((1, 4, 4, 3, 1))), training=False)
 
 
+@pytest.mark.parametrize("d", range(3, 16, 2))
+def test_transition_deep_stack_equals_per_window_forwards(d):
+    # a 16-slice stack gives one feature slice per d-slice window, input-major.
+    # 16x16 in-plane keeps every per-window matrix product large enough that
+    # OpenBLAS does not switch to its small-matrix kernel, which can sum in
+    # another order.
+    block = build_transition_block(d, in_channels=2, seed=d)
+    x = np.random.default_rng(d).normal(size=(2, 16, 16, 16, 2))
+    windows = 16 - d + 1
+    y = block.forward(Tensor(x), training=False)
+    assert y.data.shape == (2 * windows, 16, 16, TRANSITION_WIDTH)
+    assert block.last_depth_trace == list(range(16, 16 - d, -2))
+    per_window = [block.forward(Tensor(x[n:n + 1, :, :, j:j + d]), training=False).data[0]
+                  for n in range(2) for j in range(windows)]
+    np.testing.assert_array_equal(y.data, np.stack(per_window))
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from sliceseg import training
 from sliceseg.autodiff import Tensor, backward
+from sliceseg.data import extract_stack
 from sliceseg.losses import combined_loss
 from sliceseg.models import ModelSpec, assemble_model
 from sliceseg.phantom import PhantomRecipe, StructureRecipe, generate_cohort
@@ -257,6 +259,57 @@ def test_predict_volume_3d_tiles_cover_depth():
     model = assemble_model(spec, seed=0)
     pred = predict_volume(model, vols[0])
     assert pred.shape == (24, 24, 12)
+
+
+@pytest.mark.parametrize("backbone", ["unet", "segnet"])
+@pytest.mark.parametrize("d", range(3, 16, 2))
+def test_predict_volume_proposed_matches_per_stack_forward(backbone, d):
+    # the chunked transition sweep must label every voxel as forward does
+    # on that slice's own d-slice stack; batch sizes 3 and 8 leave ragged chunks
+    volume = tiny_cohort(1, seed=11, shape=(16, 16, 16))[0]
+    spec = ModelSpec(mode="proposed", backbone=backbone, d=d, in_channels=1,
+                     num_classes=3, base_filters=4)
+    model = assemble_model(spec, seed=d)
+    want = np.stack([model.forward(Tensor(extract_stack(volume, z, d).stack[None])).data[0]
+                     .argmax(axis=-1) for z in range(16)], axis=-1)
+    for batch_size in (1, 3, 8):
+        np.testing.assert_array_equal(predict_volume(model, volume, batch_size), want)
+
+
+def test_run_training_stops_on_non_finite_train_loss():
+    vols = tiny_cohort(3, seed=7)
+    spec = ModelSpec(mode="proposed", backbone="unet", d=3, in_channels=1,
+                     num_classes=3, base_filters=4)
+    train = build_samples(vols[:2], spec)
+    train[0].stack = train[0].stack.copy()
+    train[0].stack[0, 0, 0, 0] = np.nan
+    history = run_training(assemble_model(spec, seed=0), train,
+                           build_samples(vols[2:], spec), quick_config(max_epochs=5))
+    assert history.stop_reason == "non_finite"
+    assert len(history.records) == 1
+    assert np.isnan(history.records[0].train_loss)
+
+
+def test_run_training_non_finite_keeps_best_weights(monkeypatch):
+    # validation turns non-finite at epoch 3; epochs 1-2 hold the best weights
+    real_validate = training.validate
+    calls = []
+
+    def validate_nan_at_3(model, samples, config):
+        calls.append(1)
+        loss, dsc = real_validate(model, samples, config)
+        return (float("nan"), dsc) if len(calls) == 3 else (loss, dsc)
+
+    monkeypatch.setattr(training, "validate", validate_nan_at_3)
+    config = quick_config(max_epochs=6)
+    model, history, vols, spec = train_tiny(config=config)
+    monkeypatch.undo()
+    assert history.stop_reason == "non_finite"
+    assert len(history.records) == 3
+    best = min(r.val_loss for r in history.records[:2])
+    assert history.best_val_loss == best
+    loss, _ = validate(model, build_samples(vols[2:], spec), config)
+    assert np.isclose(loss, best, rtol=1e-9)
 
 
 def test_evaluate_reports_per_class():
