@@ -1,6 +1,7 @@
 """Structure features of label volumes and model cost accounting."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -31,13 +32,12 @@ def connected_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labeled, int(count)
 
 
-def structure_depth(label_volumes, class_id: int, printed_form: bool = False) -> float:
+def structure_depth(label_volumes, class_id: int) -> float:
     """Mean axial extent, in slices, of the connected regions of a class.
 
     Per volume the region extents are averaged, then the per-volume values
-    are averaged. ``printed_form`` switches the per-volume denominator to
-    the sum of the region indices 1..R instead of the region count; the
-    two readings agree whenever every volume holds a single region.
+    are averaged. The paper's printed formula divides by the sum of the
+    region indices 1..R; this code divides by the region count R.
     """
     vols = _as_volumes(label_volumes)
     per_patient = []
@@ -50,8 +50,7 @@ def structure_depth(label_volumes, class_id: int, printed_form: bool = False) ->
         for r in range(1, count + 1):
             zs = np.unique(np.nonzero(labeled == r)[2])
             depths.append(int(zs.max()) - int(zs.min()) + 1)
-        denom = count * (count + 1) / 2.0 if printed_form else float(count)
-        per_patient.append(sum(depths) / denom)
+        per_patient.append(sum(depths) / count)
     if not per_patient:
         raise ValueError(f"class {class_id} absent from every volume")
     return float(np.mean(per_patient))
@@ -102,14 +101,13 @@ def structure_displacement(label_volumes, class_id: int) -> float:
     return total / (len(vols) * depth)
 
 
-def class_feature_table(label_volumes, num_classes: int,
-                        printed_depth_form: bool = False) -> list[dict]:
+def class_feature_table(label_volumes, num_classes: int) -> list[dict]:
     """Per-foreground-class depth, size fraction and displacement."""
     rows = []
     for k in range(1, num_classes):
         rows.append({
             "class_id": k,
-            "depth": structure_depth(label_volumes, k, printed_form=printed_depth_form),
+            "depth": structure_depth(label_volumes, k),
             "size_fraction": structure_size(label_volumes, k),
             "displacement": structure_displacement(label_volumes, k),
         })
@@ -120,9 +118,9 @@ def class_feature_table(label_volumes, num_classes: int,
 # model cost accounting
 
 # FLOP convention: one multiply-accumulate counts as two floating point
-# operations, and only convolution-type layers (including 1x1 output convs
-# and transposed convs) are counted; normalisation, activations, pooling
-# and interpolation are excluded.
+# operations, and only convolutions (1x1 output convs included) are
+# counted; normalisation, activations, pooling and interpolation are
+# excluded.
 FLOPS_PER_MAC = 2
 BYTES_PER_VALUE = 8  # float64
 
@@ -148,20 +146,26 @@ def _traced_forward(model: SegmentationModel, in_plane: tuple[int, int]) -> list
     return records
 
 
+def _static_costs(model: SegmentationModel, in_plane: tuple[int, int]) -> tuple[int, int]:
+    """FLOPs and activation bytes, both from one traced forward pass."""
+    records = _traced_forward(model, in_plane)
+    flops = sum(FLOPS_PER_MAC * r.macs for r in records)
+    values = (sum(math.prod(r.shape) for r in records)
+              + math.prod(_model_input_shape(model, in_plane)) + count_params(model))
+    return flops, BYTES_PER_VALUE * values
+
+
 def count_flops(model: SegmentationModel, in_plane: tuple[int, int]) -> int:
     """Forward-pass floating point operations for a single input at the
     given in-plane size, under the 2-FLOPs-per-MAC convention."""
-    return sum(FLOPS_PER_MAC * r.macs for r in _traced_forward(model, in_plane))
+    return _static_costs(model, in_plane)[0]
 
 
 def estimate_activation_memory(model: SegmentationModel, in_plane: tuple[int, int]) -> int:
     """Analytic bytes held by one forward pass: every traced layer output
     (convolutions, pooling, unpooling, interpolation, normalisation) plus
     the input plus the parameters, at 8 bytes per value."""
-    records = _traced_forward(model, in_plane)
-    acts = sum(r.out_elements for r in records)
-    inp = int(np.prod(_model_input_shape(model, in_plane)))
-    return BYTES_PER_VALUE * (acts + inp + count_params(model))
+    return _static_costs(model, in_plane)[1]
 
 
 @dataclass
@@ -177,9 +181,9 @@ def cost_report(model: SegmentationModel, in_plane: tuple[int, int],
                 timing_batch=None, loss_fn=None) -> CostReport:
     """Static cost numbers plus optional wall-clock timing of one training
     step and one single-sample prediction on a caller-supplied batch."""
-    report = CostReport(parameter_count=count_params(model),
-                        flop_count=count_flops(model, in_plane),
-                        activation_memory_bytes=estimate_activation_memory(model, in_plane))
+    flops, memory = _static_costs(model, in_plane)
+    report = CostReport(parameter_count=count_params(model), flop_count=flops,
+                        activation_memory_bytes=memory)
     if timing_batch is not None:
         from .autodiff import backward
         from .training import AdamState, adam_step

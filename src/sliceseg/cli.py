@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, volio
 from .config import (ConfigError, ExperimentConfig, SourceConfig, config_to_dict,
                      expand_grid, load_config, save_config)
-from .data import make_folds, normalize_ct, normalize_zscore
+from .data import check_fold_sizes, make_folds, normalize_ct, normalize_zscore
 from .models import ModelSpec, SegmentationModel, assemble_model
 from .phantom import LabeledVolume, dataset_presets, generate_cohort
 from .training import build_samples, evaluate, run_training
@@ -105,21 +105,35 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
     train_samples = build_samples([by_id[i] for i in split.train], spec)
     val_samples = build_samples([by_id[i] for i in split.val], spec)
     history = run_training(model, train_samples, val_samples, train_cfg)
-    result = evaluate(model, [by_id[i] for i in split.test], batch_size=cfg.train.batch_size)
-
     history.write(os.path.join(fold_dir, "history.csv"))
-    metrics = {
-        "per_class_dsc": [float(x) for x in result.per_class],
-        "mean_foreground_dsc": float(result.mean_foreground),
-        "epochs": len(history.records),
-        "stop_reason": history.stop_reason,
-        "best_val_loss": float(history.best_val_loss),
-        "test_patients": list(split.test),
-    }
+    metrics = {"per_class_dsc": None, "mean_foreground_dsc": None, "best_val_loss": None,
+               "epochs": len(history.records), "stop_reason": history.stop_reason,
+               "test_patients": list(split.test)}
+    # a fold with no finite epoch holds no trained weights worth scoring
+    if np.isfinite(history.best_val_loss):
+        result = evaluate(model, [by_id[i] for i in split.test],
+                          batch_size=cfg.train.batch_size)
+        metrics.update(per_class_dsc=[float(x) for x in result.per_class],
+                       mean_foreground_dsc=float(result.mean_foreground),
+                       best_val_loss=float(history.best_val_loss))
     with open(os.path.join(fold_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
+        json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return metrics
+
+
+def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
+    """Raise ``ConfigError`` when the loaded cohort cannot serve the config:
+    too few cases for ``folds.count``, or a ``patch_depth`` deeper than the
+    shallowest volume."""
+    try:
+        check_fold_sizes(len(volumes), cfg.folds.count)
+    except ValueError as e:
+        raise ConfigError(f"'folds.count': {e}") from e
+    depth = min(v.labels.shape[2] for v in volumes)
+    if "end2end_3d" in cfg.grid.modes and cfg.grid.patch_depth > depth:
+        raise ConfigError(f"'grid.patch_depth': {cfg.grid.patch_depth} is deeper than "
+                          f"the shallowest volume ({depth} slices)")
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
@@ -130,6 +144,7 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
     table path.
     """
     volumes = load_source(cfg.source)
+    _check_cohort(cfg, volumes)
     fingerprint = source_fingerprint(volumes)
     by_id = {v.patient_id: v for v in volumes}
     folds = make_folds(sorted(by_id), num_folds=cfg.folds.count, seed=cfg.folds.seed)
@@ -168,8 +183,9 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
             metrics = _train_one_fold(spec, cfg, fold_index, split, by_id, fold_dir)
             with open(marker, "w", encoding="utf-8") as fh:
                 fh.write(want + "\n")
+            dsc = metrics["mean_foreground_dsc"]
             log(f"[done] {name} fold{fold_index}"
-                f" dsc={metrics['mean_foreground_dsc']:.4f}"
+                f" dsc={'null' if dsc is None else format(dsc, '.4f')}"
                 f" epochs={metrics['epochs']}")
 
     return write_aggregate(out_dir)
@@ -191,6 +207,9 @@ def write_aggregate(out_dir: str) -> str:
                 raise ValueError(f"missing result {path}; run the grid to completion first")
             with open(path, "r", encoding="utf-8") as fh:
                 metrics = json.load(fh)
+            if metrics["mean_foreground_dsc"] is None:
+                raise ValueError(f"{path} holds no score: the fold stopped "
+                                 f"{metrics['stop_reason']} before any finite epoch")
             rows.append({"mode": spec.mode, "backbone": spec.backbone, "d": spec.d,
                          "mean_dsc": metrics["mean_foreground_dsc"]})
     table = analysis.aggregate_results(rows, expected_cells=expected)

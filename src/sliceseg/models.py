@@ -63,10 +63,6 @@ class ModelSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
-
 
 def he_uniform(rng: np.random.Generator, kernel: tuple[int, ...], cin: int, cout: int) -> np.ndarray:
     """Fan-in scaled uniform init: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
@@ -126,7 +122,8 @@ class TransitionBlock:
     axis, so every block trims one slice from each side; after the last
     block a single slice remains per window of d slices. A deeper stack of
     D slices yields one slice for each of its D-d+1 windows, and each of
-    them depends only on its own window.
+    them depends only on its own window. The depth cascade D, D-2, ... is
+    the stack extent of the block's conv3d records in ``ops.cost_trace``.
     """
 
     def __init__(self, rng, d: int, in_channels: int, width: int = TRANSITION_WIDTH):
@@ -139,10 +136,6 @@ class TransitionBlock:
         for _ in range(d // 2):
             self.blocks.append(ConvBlock(rng, 3, cin, width, padded=(True, True, False)))
             cin = width
-        self.last_depth_trace: list[int] | None = None
-
-    def planned_depth_trace(self) -> list[int]:
-        return list(range(self.depth, 0, -2))
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """(N, H, W, D, C) with D >= d -> (N * (D-d+1), H, W, width), the
@@ -151,12 +144,9 @@ class TransitionBlock:
         if x.data.shape[3] < self.depth:
             raise ValueError(f"transition block built for depth {self.depth}, "
                              f"input has depth {x.data.shape[3]}")
-        trace = [x.data.shape[3]]
         t = x
         for blk in self.blocks:
             t = blk.forward(t, training)
-            trace.append(t.data.shape[3])
-        self.last_depth_trace = trace
         n, h, w, windows, c = t.data.shape
         return ad.reshape(ad.transpose(t, (0, 3, 1, 2, 4)), (n * windows, h, w, c))
 
@@ -178,22 +168,6 @@ def channel_fold(x):
     if isinstance(x, Tensor):
         return ad.reshape(x, folded)
     return np.asarray(x).reshape(folded)
-
-
-def channel_unfold(x, d: int, channels: int):
-    """Inverse of :func:`channel_fold`."""
-    shape = x.data.shape if isinstance(x, Tensor) else np.asarray(x).shape
-    if shape[-1] != d * channels:
-        raise ValueError(f"cannot unfold {shape[-1]} channels into {d} x {channels}")
-    unfolded = shape[:-1] + (d, channels)
-    if isinstance(x, Tensor):
-        return ad.reshape(x, unfolded)
-    return np.asarray(x).reshape(unfolded)
-
-
-def build_transition_block(d: int, in_channels: int, seed: int = 0,
-                           width: int = TRANSITION_WIDTH) -> TransitionBlock:
-    return TransitionBlock(np.random.default_rng(seed), d, in_channels, width)
 
 
 class EncoderDecoder:

@@ -19,8 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, _node, accumulate_grad
 
-# Optional cost trace used by the analysis module. When a trace list is
-# installed, each structured op appends one record per application.
+# Optional cost trace, the one record of what a forward pass did: while a
+# trace list is installed, each structured op appends its kind, MACs and
+# output shape per application.
 _trace_ctx = threading.local()
 
 
@@ -28,22 +29,25 @@ _trace_ctx = threading.local()
 class OpCost:
     kind: str
     macs: int
-    out_elements: int
+    shape: tuple[int, ...]
 
 
 @contextlib.contextmanager
 def cost_trace(records: list):
+    """Record into ``records`` for the duration of the block; the enclosing
+    trace, if any, receives nothing meanwhile and is restored on exit."""
+    outer = getattr(_trace_ctx, "records", None)
     _trace_ctx.records = records
     try:
         yield records
     finally:
-        _trace_ctx.records = None
+        _trace_ctx.records = outer
 
 
-def _record(kind: str, macs: int, out_elements: int) -> None:
+def _record(kind: str, macs: int, shape: tuple[int, ...]) -> None:
     records = getattr(_trace_ctx, "records", None)
     if records is not None:
-        records.append(OpCost(kind, int(macs), int(out_elements)))
+        records.append(OpCost(kind, int(macs), shape))
 
 
 def _spatial_rank(w: Tensor) -> int:
@@ -107,7 +111,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     n = x.data.shape[0]
     y = y.reshape((n, *out_spatial, cout))
     _record(f"conv{rank}d", np.prod(out_spatial) * n * int(np.prod(kernel)) * cin * cout,
-            y.size)
+            y.shape)
 
     def bwd(g):
         gmat = g.reshape(-1, cout)
@@ -125,53 +129,6 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(y, parents, f"conv{rank}d", bwd)
-
-
-def conv_transpose_forward(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Transposed convolution with kernel 2 and stride 2 per spatial axis,
-    doubling every spatial extent. Windows do not overlap at this stride,
-    so each input position scatters independently."""
-    rank = _spatial_rank(w)
-    kernel = w.data.shape[:rank]
-    if any(k != 2 for k in kernel):
-        raise ValueError(f"transposed conv kernel must be 2 per axis, got {kernel}")
-    cin, cout = w.data.shape[rank], w.data.shape[rank + 1]
-    if x.data.ndim != rank + 2:
-        raise ValueError(f"transposed conv rank {rank} expects {rank + 2}D input")
-    if x.data.shape[-1] != cin:
-        raise ValueError(f"input has {x.data.shape[-1]} channels, kernel expects {cin}")
-
-    n = x.data.shape[0]
-    spatial = x.data.shape[1:1 + rank]
-    if rank == 2:
-        t = np.einsum("nhwc,abco->nhawbo", x.data, w.data)
-    else:
-        t = np.einsum("nhwdc,abeco->nhawbdeo", x.data, w.data)
-    out_spatial = tuple(2 * s for s in spatial)
-    y = t.reshape((n, *out_spatial, cout))
-    if b is not None:
-        y += b.data
-    _record(f"conv_transpose{rank}d",
-            n * int(np.prod(spatial)) * int(np.prod(kernel)) * cin * cout, y.size)
-
-    def bwd(g):
-        if rank == 2:
-            gr = g.reshape(n, spatial[0], 2, spatial[1], 2, cout)
-            if x.requires_grad:
-                accumulate_grad(x, np.einsum("nhawbo,abco->nhwc", gr, w.data))
-            if w.requires_grad:
-                accumulate_grad(w, np.einsum("nhwc,nhawbo->abco", x.data, gr))
-        else:
-            gr = g.reshape(n, spatial[0], 2, spatial[1], 2, spatial[2], 2, cout)
-            if x.requires_grad:
-                accumulate_grad(x, np.einsum("nhawbdeo,abeco->nhwdc", gr, w.data))
-            if w.requires_grad:
-                accumulate_grad(w, np.einsum("nhwdc,nhawbdeo->abeco", x.data, gr))
-        if b is not None and b.requires_grad:
-            accumulate_grad(b, g.reshape(-1, cout).sum(axis=0))
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(y, parents, f"conv_transpose{rank}d", bwd)
 
 
 @dataclass
@@ -218,7 +175,7 @@ def maxpool_with_indices(x: Tensor, rank: int) -> tuple[Tensor, IndexMap]:
     codes = win.argmax(axis=-1)
     pooled = np.take_along_axis(win, codes[..., None], axis=-1)[..., 0]
     index_map = IndexMap(codes=codes, rank=rank, input_shape=x.data.shape)
-    _record(f"maxpool{rank}d", 0, pooled.size)
+    _record(f"maxpool{rank}d", 0, pooled.shape)
 
     def bwd(g):
         if not x.requires_grad:
@@ -262,7 +219,7 @@ def max_unpool(x: Tensor, index_map: IndexMap) -> Tensor:
     win = np.zeros(index_map.codes.shape + (2 ** rank,), dtype=np.float64)
     np.put_along_axis(win, index_map.codes[..., None], x.data[..., None], axis=-1)
     y = _unpool_scatter(win, index_map.input_shape, rank)
-    _record(f"max_unpool{rank}d", 0, y.size)
+    _record(f"max_unpool{rank}d", 0, y.shape)
 
     def bwd(g):
         if not x.requires_grad:
@@ -280,7 +237,7 @@ def upsample_nearest(x: Tensor, rank: int) -> Tensor:
     y = x.data
     for axis in range(1, 1 + rank):
         y = np.repeat(y, 2, axis=axis)
-    _record(f"upsample{rank}d", 0, y.size)
+    _record(f"upsample{rank}d", 0, y.shape)
 
     def bwd(g):
         if not x.requires_grad:
@@ -326,7 +283,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv_std
     y = gamma.data * xhat + beta.data
-    _record("batch_norm", 0, y.size)
+    _record("batch_norm", 0, y.shape)
 
     def bwd(g):
         if gamma.requires_grad:

@@ -236,16 +236,10 @@ def generate_phantom(recipe: PhantomRecipe, seed: int,
     return volume, meta
 
 
-def generate_cohort(recipe: PhantomRecipe, count: int, seed: int,
-                    with_metadata: bool = False):
+def generate_cohort(recipe: PhantomRecipe, count: int, seed: int) -> list[LabeledVolume]:
     """Generate ``count`` phantoms with ids p000, p001, ... under one seed."""
-    volumes = []
-    metas = []
-    for i in range(count):
-        vol, meta = generate_phantom(recipe, seed=seed + i, patient_id=f"p{i:03d}")
-        volumes.append(vol)
-        metas.append(meta)
-    return (volumes, metas) if with_metadata else volumes
+    return [generate_phantom(recipe, seed=seed + i, patient_id=f"p{i:03d}")[0]
+            for i in range(count)]
 
 
 def dataset_presets() -> dict[str, PhantomRecipe]:

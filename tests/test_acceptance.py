@@ -31,8 +31,8 @@ from sliceseg.data import AugmentParams, normalize_ct, normalize_zscore
 from sliceseg.gradcheck import finite_difference_check
 from sliceseg.losses import (combined_loss, cross_entropy_loss, dice_per_class,
                              soft_dice_loss)
-from sliceseg.models import (TRANSITION_WIDTH, ModelSpec, assemble_model,
-                             build_transition_block)
+from sliceseg.models import (TRANSITION_WIDTH, ModelSpec, TransitionBlock,
+                             assemble_model)
 from sliceseg.phantom import (PhantomRecipe, StructureRecipe, dataset_presets,
                               generate_cohort, generate_phantom)
 from sliceseg.training import (AdamState, PlateauSchedule, TrainConfig,
@@ -85,12 +85,6 @@ def _primitive_cases(rng):
         lambda x_, w_, b_, p=p: p(ops.conv_forward(x_, w_, b_,
                                                    padded_axes=(True, True, False))),
         [x, w, b])
-
-    x = Tensor(rng.normal(size=(1, 3, 4, 2)))
-    w = Tensor(rng.normal(size=(2, 2, 2, 3)))
-    p = _probe(rng, (1, 6, 8, 3))
-    cases["conv_transpose"] = (
-        lambda x_, w_, p=p: p(ops.conv_transpose_forward(x_, w_)), [x, w])
 
     # distinct well-separated values keep every pooled window smooth
     # across the finite-difference step
@@ -156,11 +150,13 @@ def test_criterion_1_gradients_match_finite_differences():
 def test_criterion_2_transition_depth_cascade_is_exact():
     assert TRANSITION_WIDTH == 16
     for d in (3, 5, 7, 9, 11, 13):
-        block = build_transition_block(d, in_channels=2, seed=0)
-        assert block.planned_depth_trace() == list(range(d, 0, -2))
+        block = TransitionBlock(np.random.default_rng(0), d, 2)
         x = Tensor(np.random.default_rng(d).normal(size=(1, 12, 10, d, 2)))
-        y = block.forward(x, training=False)
-        assert block.last_depth_trace == list(range(d, 0, -2))
+        records = []
+        with ops.cost_trace(records):
+            y = block.forward(x, training=False)
+        cascade = [d] + [r.shape[3] for r in records if r.kind == "conv3d"]
+        assert cascade == list(range(d, 0, -2))
         assert y.data.shape == (1, 12, 10, TRANSITION_WIDTH)
 
 

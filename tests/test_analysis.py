@@ -40,20 +40,12 @@ def test_depth_skips_volumes_without_class():
     assert analysis.structure_depth([a, b], 1) == 4.0
 
 
-def test_depth_printed_form_matches_on_single_regions():
-    v = vol()
-    v[5:8, 5:8, 2:9] = 1
-    assert analysis.structure_depth([v], 1) == \
-        analysis.structure_depth([v], 1, printed_form=True)
-
-
-def test_depth_printed_form_divides_by_index_sum():
+def test_depth_divides_by_region_count():
     v = vol()
     v[2:4, 2:4, 0:4] = 1     # depth 4
     v[10:12, 10:12, 10:16] = 1  # depth 6, far away so regions stay separate
+    # (4 + 6) / 2 regions; the paper's printed index sum would give 10 / 3
     assert analysis.structure_depth([v], 1) == 5.0
-    # printed reading: (4 + 6) / (1 + 2)
-    assert np.isclose(analysis.structure_depth([v], 1, printed_form=True), 10 / 3)
 
 
 def test_regions_use_26_connectivity():
@@ -214,6 +206,30 @@ def test_cost_report_static_fields():
     assert report.flop_count > 0
     assert report.activation_memory_bytes > 0
     assert np.isnan(report.seconds_per_training_step)
+
+
+# pinned (flop_count, activation_memory_bytes) at 16x16 in-plane: cost.csv
+# in every run directory is written from these numbers
+COST_GOLDEN = {
+    ("end2end_2d", "unet", 1): (1333248, 409272),
+    ("proposed", "unet", 3): (2033664, 494328),
+    ("channel_based", "unet", 3): (1406976, 418616),
+    ("end2end_3d", "unet", 8): (17412096, 1692216),
+    ("end2end_2d", "segnet", 1): (780288, 349240),
+    ("proposed", "segnet", 3): (1480704, 434296),
+    ("channel_based", "segnet", 3): (854016, 358584),
+    ("end2end_3d", "segnet", 8): (8896512, 1383096),
+}
+
+
+@pytest.mark.parametrize("mode,backbone,d", sorted(COST_GOLDEN))
+def test_cost_report_matches_separate_counts_and_golden(mode, backbone, d):
+    model = small_model(mode=mode, d=d, backbone=backbone)
+    report = analysis.cost_report(model, (16, 16))
+    flops = analysis.count_flops(model, (16, 16))
+    memory = analysis.estimate_activation_memory(model, (16, 16))
+    assert (report.flop_count, report.activation_memory_bytes) == (flops, memory)
+    assert (flops, memory) == COST_GOLDEN[(mode, backbone, d)]
 
 
 def test_cost_report_with_timing():

@@ -362,6 +362,64 @@ def test_class_count_spans_the_whole_cohort(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _volumes_config(tmp_path, volumes, **grid) -> str:
+    """Config path for a tiny end2end_2d grid over ``volumes`` saved to disk."""
+    cases = str(tmp_path / "cases")
+    for volume in volumes:
+        volio.save_case(cases, volume)
+    raw = tiny_config(str(tmp_path / "run"))
+    raw["source"] = {"kind": "volumes", "directory": cases, "normalization": "none"}
+    raw["grid"].update({"modes": ["end2end_2d"], **grid})
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    return cfg_path
+
+
+def test_fold_without_finite_epoch_is_null_and_named(tmp_path, capsys):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    volumes[2].image[0, 0, 0, 0] = np.nan
+    cfg_path = _volumes_config(tmp_path, volumes)
+    assert cli.main(["run", cfg_path]) == 1
+
+    def refuse(constant):
+        raise AssertionError(f"metrics.json holds {constant}")
+
+    cell = tmp_path / "run" / "cells" / "end2end_2d-unet-d01"
+    folds = [json.loads((cell / f"fold{k}" / "metrics.json").read_text(encoding="utf-8"),
+                        parse_constant=refuse) for k in (0, 1)]
+    stopped = [k for k, m in enumerate(folds) if m["stop_reason"] == "non_finite"]
+    assert stopped
+    for k in stopped:
+        assert folds[k]["best_val_loss"] is None
+        assert folds[k]["mean_foreground_dsc"] is None
+    named = f"error: {cell / f'fold{stopped[0]}' / 'metrics.json'} holds no score"
+    assert capsys.readouterr().err.startswith(named)
+    assert cli.main(["aggregate", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(named)
+    assert not (tmp_path / "run" / "aggregate.csv").exists()
+
+
+def test_volumes_source_too_small_for_folds_exits_before_any_cell(tmp_path, capsys):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 3, seed=0)
+    assert cli.main(["run", _volumes_config(tmp_path, volumes)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'folds.count': 3 patients are too few for 2 folds"
+        " with non-empty train/val/test\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_patch_depth_deeper_than_volumes_exits_before_any_cell(tmp_path, capsys):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    volumes[4] = dataclasses.replace(volumes[4], image=volumes[4].image[:, :, :12],
+                                     labels=volumes[4].labels[:, :, :12])
+    cfg_path = _volumes_config(tmp_path, volumes, modes=["end2end_3d"], patch_depth=16)
+    assert cli.main(["run", cfg_path]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'grid.patch_depth': 16 is deeper than the shallowest volume (12 slices)\n")
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

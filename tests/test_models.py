@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
+from sliceseg import ops
 from sliceseg.autodiff import Tensor, backward
 from sliceseg.losses import combined_loss
 from sliceseg.models import (MODES, ModelSpec, SegmentationModel, TRANSITION_WIDTH,
-                             assemble_model, build_transition_block, channel_fold,
-                             channel_unfold, he_uniform)
+                             TransitionBlock, assemble_model, channel_fold, he_uniform)
 from sliceseg.training import AdamState, adam_step
 
 
@@ -74,18 +74,25 @@ def test_param_count_invariant_to_seed():
 # transition block shape cascade
 
 
+def traced_depth_cascade(block: TransitionBlock, x: Tensor) -> tuple[list[int], Tensor]:
+    """Stack depth of the input and of every conv3d output in one forward."""
+    records = []
+    with ops.cost_trace(records):
+        y = block.forward(x, training=False)
+    return [x.data.shape[3]] + [r.shape[3] for r in records if r.kind == "conv3d"], y
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
 def test_transition_depth_trace(d):
-    block = build_transition_block(d, in_channels=2, seed=0)
-    assert block.planned_depth_trace() == list(range(d, 0, -2))
+    block = TransitionBlock(np.random.default_rng(0), d, 2)
     x = Tensor(np.random.default_rng(d).normal(size=(2, 8, 8, d, 2)))
-    y = block.forward(x, training=False)
-    assert block.last_depth_trace == list(range(d, 0, -2))
+    cascade, y = traced_depth_cascade(block, x)
+    assert cascade == list(range(d, 0, -2))
     assert y.data.shape == (2, 8, 8, TRANSITION_WIDTH)
 
 
 def test_transition_rejects_wrong_depth():
-    block = build_transition_block(5, in_channels=1, seed=0)
+    block = TransitionBlock(np.random.default_rng(0), 5, 1)
     with pytest.raises(ValueError):
         block.forward(Tensor(np.zeros((1, 4, 4, 3, 1))), training=False)
 
@@ -96,12 +103,12 @@ def test_transition_deep_stack_equals_per_window_forwards(d):
     # 16x16 in-plane keeps every per-window matrix product large enough that
     # OpenBLAS does not switch to its small-matrix kernel, which can sum in
     # another order.
-    block = build_transition_block(d, in_channels=2, seed=d)
+    block = TransitionBlock(np.random.default_rng(d), d, 2)
     x = np.random.default_rng(d).normal(size=(2, 16, 16, 16, 2))
     windows = 16 - d + 1
-    y = block.forward(Tensor(x), training=False)
+    cascade, y = traced_depth_cascade(block, Tensor(x))
     assert y.data.shape == (2 * windows, 16, 16, TRANSITION_WIDTH)
-    assert block.last_depth_trace == list(range(16, 16 - d, -2))
+    assert cascade == list(range(16, 16 - d, -2))
     per_window = [block.forward(Tensor(x[n:n + 1, :, :, j:j + d]), training=False).data[0]
                   for n in range(2) for j in range(windows)]
     np.testing.assert_array_equal(y.data, np.stack(per_window))
@@ -132,7 +139,7 @@ def test_spec_validation_rules():
 
 def test_spec_roundtrip():
     s = spec(mode="channel_based", d=7)
-    assert ModelSpec.from_dict(s.to_dict()) == s
+    assert ModelSpec(**s.to_dict()) == s
 
 
 def test_spec_rank():
@@ -151,7 +158,7 @@ def test_channel_fold_unfold_roundtrip():
     x = rng.normal(size=(2, 4, 4, 5, 3))
     folded = channel_fold(x)
     assert folded.shape == (2, 4, 4, 15)
-    assert np.array_equal(channel_unfold(folded, 5, 3), x)
+    assert np.array_equal(folded.reshape(x.shape), x)
 
 
 def test_channel_fold_layout_is_slice_major():

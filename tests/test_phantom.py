@@ -109,13 +109,6 @@ def test_cohort_unique_ids_and_determinism():
         assert np.array_equal(a.image, b.image)
 
 
-def test_cohort_with_metadata():
-    volumes, metas = generate_cohort(RECIPE, 2, seed=10, with_metadata=True)
-    assert len(volumes) == 2 and len(metas) == 2
-    for meta in metas:
-        assert meta.num_classes == RECIPE.num_classes
-
-
 def test_impossible_placement_raises():
     crowded = PhantomRecipe(
         shape=(10, 10, 6),
