@@ -19,7 +19,7 @@ from .gradcheck import GradCheckReport, finite_difference_check
 from .losses import (combined_loss, cross_entropy_loss, dice_per_class,
                      hard_dice, soft_dice_loss)
 from .models import (BACKBONES, MODES, ModelSpec, SegmentationModel,
-                     TransitionBlock, assemble_model, channel_fold)
+                     TransitionBlock, assemble_model)
 from .phantom import (LabeledVolume, PhantomMetadata, PhantomRecipe,
                       StructureRecipe, dataset_presets, generate_cohort,
                       generate_phantom)
@@ -38,7 +38,7 @@ __all__ = [
     "SliceSample", "SourceConfig", "StructureRecipe", "Tensor", "TrainConfig",
     "TrainHistory", "TransitionBlock", "adam_step", "aggregate_results",
     "assemble_model", "augment", "backward", "build_samples",
-    "channel_fold", "class_feature_table", "combined_loss", "config_from_dict",
+    "class_feature_table", "combined_loss", "config_from_dict",
     "config_to_dict", "cost_report", "count_flops", "count_params",
     "cross_entropy_loss", "dataset_presets", "dice_per_class", "evaluate",
     "expand_grid", "extract_stack", "finite_difference_check",

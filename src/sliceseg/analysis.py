@@ -131,11 +131,7 @@ def count_params(model: SegmentationModel) -> int:
 
 
 def _model_input_shape(model: SegmentationModel, in_plane: tuple[int, int]) -> tuple[int, ...]:
-    h, w = in_plane
-    spec = model.spec
-    if spec.mode == "end2end_2d":
-        return (1, h, w, spec.in_channels)
-    return (1, h, w, spec.d, spec.in_channels)
+    return (1, *in_plane, model.spec.d, model.spec.in_channels)
 
 
 def _traced_forward(model: SegmentationModel, in_plane: tuple[int, int]) -> list[ops.OpCost]:

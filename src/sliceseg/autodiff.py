@@ -275,15 +275,28 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(x.data.reshape(shape), (x,), "reshape", bwd)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Permute axes as ``np.transpose``; backward applies the inverse
-    permutation."""
-    inverse = tuple(np.argsort(axes))
+def fold_windows(x: Tensor, d: int) -> Tensor:
+    """(N, H, W, D, C) -> (N * (D-d+1), H, W, d * C): each run of d
+    neighbouring slices becomes one feature map. Row n * (D-d+1) + j is
+    window j of input n, and channel k * C + c is channel c of that
+    window's slice k (slice-major). Backward adds each window's gradient
+    back onto the slices it covers, so overlapping windows sum."""
+    n, h, w, depth, c = x.data.shape
+    windows = depth - d + 1
+    if d < 1 or windows < 1:
+        raise ValueError(f"fold_windows: depth {depth} holds no window of {d} slices")
+    view = np.lib.stride_tricks.sliding_window_view(x.data, d, axis=3)
+    out = view.transpose(0, 3, 1, 2, 5, 4).reshape(n * windows, h, w, d * c)
 
     def bwd(g):
-        accumulate_grad(x, g.transpose(inverse))
+        g = g.reshape(n, windows, h, w, d, c).transpose(0, 2, 3, 1, 4, 5)
+        gx = np.zeros(x.data.shape)
+        gx[:, :, :, :windows] = g[..., 0, :]
+        for k in range(1, d):
+            gx[:, :, :, k:k + windows] += g[..., k, :]
+        accumulate_grad(x, gx)
 
-    return _node(x.data.transpose(axes), (x,), "transpose", bwd)
+    return _node(out, (x,), "fold_windows", bwd)
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:

@@ -263,6 +263,7 @@ def _cmd_aggregate(args) -> int:
 def _cmd_profile(args) -> int:
     cfg = load_config(args.config)
     volumes = load_source(cfg.source)
+    _check_cohort(cfg, volumes)
     k, c = cohort_num_classes(volumes), volumes[0].image.shape[-1]
     in_plane = volumes[0].image.shape[:2]
     lines = ["mode,backbone,d,parameter_count,flop_count,activation_memory_bytes,"

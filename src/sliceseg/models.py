@@ -147,27 +147,11 @@ class TransitionBlock:
         t = x
         for blk in self.blocks:
             t = blk.forward(t, training)
-        n, h, w, windows, c = t.data.shape
-        return ad.reshape(ad.transpose(t, (0, 3, 1, 2, 4)), (n * windows, h, w, c))
+        return ad.fold_windows(t, 1)
 
     def iter_layers(self, prefix: str):
         for i, blk in enumerate(self.blocks):
             yield from blk.iter_layers(f"{prefix}.{i}")
-
-
-def channel_fold(x):
-    """Fold the trailing (stack, channel) axes into one channel axis.
-
-    The folded channel index is stack_index * channels + channel_index,
-    which is exactly a row-major reshape of the last two axes.
-    """
-    shape = x.data.shape if isinstance(x, Tensor) else np.asarray(x).shape
-    if len(shape) < 2:
-        raise ValueError("channel_fold expects (..., stack, channels)")
-    folded = shape[:-2] + (shape[-2] * shape[-1],)
-    if isinstance(x, Tensor):
-        return ad.reshape(x, folded)
-    return np.asarray(x).reshape(folded)
 
 
 class EncoderDecoder:
@@ -277,35 +261,32 @@ class SegmentationModel:
                     out.add(f"{name}.{pname}")
         return out
 
-    def _check_stack_input(self, x: Tensor) -> None:
-        if x.data.ndim != 5:
-            raise ValueError(f"{self.spec.mode} expects (N, H, W, d, C) input, got {x.data.ndim}D")
-        if x.data.shape[3] != self.spec.d:
-            raise ValueError(f"input stack depth {x.data.shape[3]} != spec depth {self.spec.d}")
-        if x.data.shape[4] != self.spec.in_channels:
-            raise ValueError(f"input has {x.data.shape[4]} channels, spec says {self.spec.in_channels}")
-
     def forward(self, x, training: bool = False) -> Tensor:
+        """Class probabilities for an (N, H, W, D, C) slab.
+
+        end2end_3d takes D == d and returns (N, H, W, D, classes). The
+        slice modes take any D >= d and return one prediction per d-slice
+        window, (N * (D-d+1), H, W, classes), row n * (D-d+1) + j for
+        window j of input n: ``ad.fold_windows`` stacks each window into
+        channels (d = 1 for end2end_2d), and the proposed transition block
+        reduces each window to one slice by depth convolution.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        mode = self.spec.mode
-        if mode == "end2end_2d":
-            if x.data.ndim == 5:
-                self._check_stack_input(x)
-                n, h, w, _, c = x.data.shape
-                x = ad.reshape(x, (n, h, w, c))
-            elif x.data.ndim != 4:
-                raise ValueError("end2end_2d expects (N, H, W, C) or (N, H, W, 1, C)")
+        spec = self.spec
+        if x.data.ndim != 5 or x.data.shape[4] != spec.in_channels:
+            raise ValueError(f"{spec.mode} expects (N, H, W, D, {spec.in_channels}) input, "
+                             f"got shape {x.data.shape}")
+        depth = x.data.shape[3]
+        if depth < spec.d or (spec.mode == "end2end_3d" and depth != spec.d):
+            raise ValueError(f"input stack depth {depth} does not fit {spec.mode} "
+                             f"at d = {spec.d}")
+        if spec.mode == "end2end_3d":
             t = x
-        elif mode == "proposed":
-            self._check_stack_input(x)
+        elif spec.mode == "proposed":
             t = self.transition.forward(x, training)
-        elif mode == "channel_based":
-            self._check_stack_input(x)
-            t = channel_fold(x)
         else:
-            self._check_stack_input(x)
-            t = x
+            t = ad.fold_windows(x, spec.d)
         return self.backbone.forward(t, training)
 
     def state(self) -> dict[str, np.ndarray]:

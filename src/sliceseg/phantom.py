@@ -53,7 +53,6 @@ class PhantomRecipe:
     channels: int = 1
     background_intensity: float = 0.0
     background_noise: float = 0.05
-    voxel_spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     @property
     def num_classes(self) -> int:
@@ -108,7 +107,6 @@ class LabeledVolume:
     """One training case: channels-last image plus integer label map."""
     image: np.ndarray                       # (H, W, D, C) float64
     labels: np.ndarray                      # (H, W, D) uint8
-    voxel_spacing: tuple[float, float, float]
     patient_id: str
 
 
@@ -231,8 +229,7 @@ def generate_phantom(recipe: PhantomRecipe, seed: int,
         n = int(mask.sum())
         image[mask] = rng.normal(srec.intensity, srec.intensity_noise,
                                  size=(n, recipe.channels))
-    volume = LabeledVolume(image=image, labels=labels,
-                           voxel_spacing=recipe.voxel_spacing, patient_id=patient_id)
+    volume = LabeledVolume(image=image, labels=labels, patient_id=patient_id)
     return volume, meta
 
 

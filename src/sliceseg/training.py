@@ -295,13 +295,13 @@ def predict_volume(model: SegmentationModel, volume: LabeledVolume,
                    batch_size: int = 8) -> np.ndarray:
     """Label every voxel of one volume, building no graph.
 
-    Single-slice modes sweep all slice centres, ``batch_size`` at a time.
-    For the proposed mode each batch of centres is one transition-block
-    pass over those slices plus d//2 edge-replicated neighbours on either
-    side, which yields the same features as one pass per d-slice stack,
-    because the depth convolutions are unpadded and inference batch norm
-    is a per-channel affine map. The volumetric mode tiles the depth axis
-    (final tile right-aligned, overlap voxels taken from the later tile).
+    The slice modes label ``batch_size`` slice centres per forward pass,
+    on a slab of those slices plus d//2 edge-replicated neighbours on
+    either side. That gives the same labels as one pass per d-slice
+    stack, because each window's output depends only on its own slices
+    and inference batch norm is a per-channel affine map. The volumetric
+    mode tiles the depth axis (final tile right-aligned, overlap voxels
+    taken from the later tile).
     """
     depth = volume.labels.shape[2]
     d = model.spec.d
@@ -315,13 +315,8 @@ def predict_volume(model: SegmentationModel, volume: LabeledVolume,
             return pred
         for lo in range(0, depth, batch_size):
             hi = min(lo + batch_size, depth)
-            if model.spec.mode == "proposed":
-                slab = Tensor(depth_window(volume.image, lo - d // 2, hi + d // 2)[None])
-                probs = model.backbone.forward(model.transition.forward(slab, training=False),
-                                               training=False)
-            else:
-                x = np.stack([extract_stack(volume, z, d).stack for z in range(lo, hi)])
-                probs = model.forward(Tensor(x), training=False)
+            slab = depth_window(volume.image, lo - d // 2, hi + d // 2)
+            probs = model.forward(Tensor(slab[None]), training=False)
             pred[:, :, lo:hi] = np.moveaxis(probs.data.argmax(axis=-1), 0, -1)
     return pred
 

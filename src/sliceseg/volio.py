@@ -82,8 +82,7 @@ def save_case(directory, volume: LabeledVolume) -> None:
     write_array(directory / f"{volume.patient_id}{LABELS_SUFFIX}", volume.labels)
 
 
-def load_case(directory, stem: str,
-              voxel_spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> LabeledVolume:
+def load_case(directory, stem: str) -> LabeledVolume:
     directory = Path(directory)
     image = read_array(directory / f"{stem}{IMAGE_SUFFIX}").astype(np.float64)
     labels = read_array(directory / f"{stem}{LABELS_SUFFIX}")
@@ -91,8 +90,7 @@ def load_case(directory, stem: str,
         raise ValueError(f"{stem}: label file does not hold uint8 data")
     if image.ndim != 4 or labels.ndim != 3 or image.shape[:3] != labels.shape:
         raise ValueError(f"{stem}: image {image.shape} and labels {labels.shape} do not pair")
-    return LabeledVolume(image=image, labels=labels, voxel_spacing=voxel_spacing,
-                         patient_id=stem)
+    return LabeledVolume(image=image, labels=labels, patient_id=stem)
 
 
 def list_case_stems(directory) -> list[str]:

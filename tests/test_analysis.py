@@ -236,7 +236,7 @@ def test_cost_report_with_timing():
     from sliceseg.losses import combined_loss
     model = small_model(mode="end2end_2d", d=1)
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 16, 16, 2))
+    x = rng.normal(size=(2, 16, 16, 1, 2))
     y = np.eye(3)[rng.integers(0, 3, size=(2, 16, 16))]
     report = analysis.cost_report(model, (16, 16), timing_batch=(x, y),
                                   loss_fn=combined_loss)

@@ -164,8 +164,11 @@ SMOOTH_CASES = {
         ad.mul(c := ad.concat([ad.reshape(a, (6,)), ad.reshape(b, (6,))], 0), c)),
     "softmax_pick": lambda a, b: ad.sum_all(
         ad.mul(ad.softmax(a, axis=-1), ad.softmax(b, axis=-1))),
-    "transpose": lambda a, b: ad.sum_all(
-        ad.mul(ad.transpose(ad.reshape(a, (3, 1, 2)), (2, 0, 1)), ad.reshape(b, (2, 3, 1)))),
+    # two overlapping 2-slice windows of a 3-slice stack: the middle
+    # slice's gradient is the sum over both windows
+    "fold_windows": lambda a, b: ad.sum_all(ad.mul(
+        ad.fold_windows(ad.reshape(a, (1, 1, 1, 3, 2)), 2),
+        ad.softmax(ad.fold_windows(ad.reshape(b, (1, 1, 1, 3, 2)), 2), axis=-1))),
 }
 
 

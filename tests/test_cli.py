@@ -420,6 +420,17 @@ def test_patch_depth_deeper_than_volumes_exits_before_any_cell(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def test_profile_names_patch_depth_deeper_than_volumes(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump({"grid": {"modes": ["end2end_3d"], "base_filters": 4,
+                            "patch_depth": 24}}, fh)
+    assert cli.main(["profile", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'grid.patch_depth': 24 is deeper than")
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

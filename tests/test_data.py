@@ -17,8 +17,7 @@ def make_volume(shape=(16, 16, 8), channels=1, seed=0, pid="p000"):
     rng = np.random.default_rng(seed)
     image = rng.normal(size=shape + (channels,))
     labels = rng.integers(0, 3, size=shape).astype(np.uint8)
-    return LabeledVolume(image=image, labels=labels, voxel_spacing=(1.0, 1.0, 1.0),
-                         patient_id=pid)
+    return LabeledVolume(image=image, labels=labels, patient_id=pid)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from sliceseg import ops
-from sliceseg.autodiff import Tensor, backward
+from sliceseg.autodiff import Tensor, backward, fold_windows
 from sliceseg.losses import combined_loss
 from sliceseg.models import (MODES, ModelSpec, SegmentationModel, TRANSITION_WIDTH,
-                             TransitionBlock, assemble_model, channel_fold, he_uniform)
+                             TransitionBlock, assemble_model, he_uniform)
 from sliceseg.training import AdamState, adam_step
 
 
@@ -150,13 +150,14 @@ def test_spec_rank():
 
 
 # ---------------------------------------------------------------------------
-# channel folding
+# channel folding (fold_windows)
 
 
 def test_channel_fold_unfold_roundtrip():
+    # at D == d the fold is a reshape of the trailing (stack, channel) axes
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 4, 4, 5, 3))
-    folded = channel_fold(x)
+    folded = fold_windows(Tensor(x), 5).data
     assert folded.shape == (2, 4, 4, 15)
     assert np.array_equal(folded.reshape(x.shape), x)
 
@@ -165,7 +166,18 @@ def test_channel_fold_layout_is_slice_major():
     x = np.zeros((1, 1, 1, 2, 3))
     x[0, 0, 0, 0] = [1, 2, 3]
     x[0, 0, 0, 1] = [4, 5, 6]
-    assert np.array_equal(channel_fold(x)[0, 0, 0], [1, 2, 3, 4, 5, 6])
+    assert np.array_equal(fold_windows(Tensor(x), 2).data[0, 0, 0], [1, 2, 3, 4, 5, 6])
+
+
+def test_fold_windows_batch_is_window_major():
+    # row n * (D-d+1) + j holds window j of input n
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 3, 4, 7, 2))
+    folded = fold_windows(Tensor(x), 3).data
+    assert folded.shape == (2 * 5, 3, 4, 6)
+    for n in range(2):
+        for j in range(5):
+            assert np.array_equal(folded[n * 5 + j], x[n, :, :, j:j + 3].reshape(3, 4, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +185,8 @@ def test_channel_fold_layout_is_slice_major():
 
 
 @pytest.mark.parametrize("mode,backbone,d,in_shape,out_shape", [
-    ("end2end_2d", "unet", 1, (2, 16, 16, 4), (2, 16, 16, 4)),
-    ("end2end_2d", "segnet", 1, (2, 16, 16, 4), (2, 16, 16, 4)),
+    ("end2end_2d", "unet", 1, (2, 16, 16, 1, 4), (2, 16, 16, 4)),
+    ("end2end_2d", "segnet", 1, (2, 16, 16, 1, 4), (2, 16, 16, 4)),
     ("proposed", "unet", 5, (2, 16, 16, 5, 4), (2, 16, 16, 4)),
     ("proposed", "segnet", 5, (2, 16, 16, 5, 4), (2, 16, 16, 4)),
     ("channel_based", "unet", 5, (2, 16, 16, 5, 4), (2, 16, 16, 4)),
@@ -191,19 +203,16 @@ def test_forward_shapes_and_probabilities(mode, backbone, d, in_shape, out_shape
     assert np.all(y.data >= 0)
 
 
-def test_2d_mode_accepts_depth1_stack():
-    model = assemble_model(spec(mode="end2end_2d", d=1, f=4), seed=3)
-    rng = np.random.default_rng(4)
-    x4 = rng.normal(size=(2, 16, 16, 4))
-    y4 = model.forward(Tensor(x4), training=False).data
-    y5 = model.forward(Tensor(x4[:, :, :, None, :]), training=False).data
-    assert np.array_equal(y4, y5)
-
-
 def test_stack_depth_mismatch_rejected():
-    model = assemble_model(spec(mode="proposed", d=5, f=4), seed=0)
-    with pytest.raises(ValueError):
-        model.forward(Tensor(np.zeros((1, 16, 16, 3, 4))), training=False)
+    for mode, d, depth in (("proposed", 5, 3), ("channel_based", 5, 3),
+                           ("end2end_3d", 8, 16), ("end2end_3d", 16, 8)):
+        model = assemble_model(spec(mode=mode, d=d, f=4), seed=0)
+        with pytest.raises(ValueError, match="depth"):
+            model.forward(Tensor(np.zeros((1, 16, 16, depth, 4))), training=False)
+    # the 2D mode takes a slab too: an (N, H, W, C) array has no depth axis
+    model = assemble_model(spec(mode="end2end_2d", d=1, f=4), seed=0)
+    with pytest.raises(ValueError, match="expects"):
+        model.forward(Tensor(np.zeros((1, 16, 16, 4))), training=False)
 
 
 def test_decay_set_is_conv_kernels_only():
@@ -248,10 +257,7 @@ def test_one_training_step_touches_every_parameter(mode, backbone):
     d = {"end2end_2d": 1, "proposed": 3, "channel_based": 3, "end2end_3d": 8}[mode]
     model = assemble_model(spec(mode=mode, backbone=backbone, d=d, c=2, k=3, f=4), seed=11)
     rng = np.random.default_rng(12)
-    if mode == "end2end_2d":
-        x = rng.normal(size=(2, 8, 8, 2))
-        labels = rng.integers(0, 3, size=(2, 8, 8))
-    elif mode == "end2end_3d":
+    if mode == "end2end_3d":
         # batch of 2: the bottleneck reduces 8^3 to a single voxel, and
         # batch norm over one position zeroes every gradient at that level
         x = rng.normal(size=(2, 8, 8, 8, 2))

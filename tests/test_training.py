@@ -261,19 +261,30 @@ def test_predict_volume_3d_tiles_cover_depth():
     assert pred.shape == (24, 24, 12)
 
 
-@pytest.mark.parametrize("backbone", ["unet", "segnet"])
-@pytest.mark.parametrize("d", range(3, 16, 2))
-def test_predict_volume_proposed_matches_per_stack_forward(backbone, d):
-    # the chunked transition sweep must label every voxel as forward does
-    # on that slice's own d-slice stack; batch sizes 3 and 8 leave ragged chunks
+def check_predict_volume_matches_per_stack_forward(mode, backbone, d):
+    # one forward per chunk must label every voxel as forward does on that
+    # slice's own d-slice stack; batch sizes 3 and 8 leave ragged chunks
     volume = tiny_cohort(1, seed=11, shape=(16, 16, 16))[0]
-    spec = ModelSpec(mode="proposed", backbone=backbone, d=d, in_channels=1,
+    spec = ModelSpec(mode=mode, backbone=backbone, d=d, in_channels=1,
                      num_classes=3, base_filters=4)
     model = assemble_model(spec, seed=d)
     want = np.stack([model.forward(Tensor(extract_stack(volume, z, d).stack[None])).data[0]
                      .argmax(axis=-1) for z in range(16)], axis=-1)
     for batch_size in (1, 3, 8):
         np.testing.assert_array_equal(predict_volume(model, volume, batch_size), want)
+
+
+@pytest.mark.parametrize("backbone", ["unet", "segnet"])
+@pytest.mark.parametrize("mode,d", [("end2end_2d", 1)]
+                         + [("channel_based", d) for d in range(1, 16, 2)])
+def test_predict_volume_matches_per_stack_forward(mode, d, backbone):
+    check_predict_volume_matches_per_stack_forward(mode, backbone, d)
+
+
+@pytest.mark.parametrize("backbone", ["unet", "segnet"])
+@pytest.mark.parametrize("d", range(3, 16, 2))
+def test_predict_volume_proposed_matches_per_stack_forward(backbone, d):
+    check_predict_volume_matches_per_stack_forward("proposed", backbone, d)
 
 
 def test_run_training_stops_on_non_finite_train_loss():
@@ -330,7 +341,7 @@ def test_evaluate_perfect_model_scores_one():
 
         def forward(self, x, training=False):
             idx = getattr(self, "_cursor", 0)
-            n = x.data.shape[0]
+            n = x.data.shape[3] - self.spec.d + 1
             labels = self.volume.labels[:, :, idx:idx + n]
             onehot = np.eye(self.k)[labels.transpose(2, 0, 1)]
             self._cursor = idx + n
