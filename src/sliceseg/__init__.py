@@ -5,10 +5,9 @@ with Dice and cross-entropy losses on synthetic phantom volumes, with
 cost accounting and label-structure analysis. Everything runs on plain
 numpy with an internal reverse-mode autodiff.
 """
-from .analysis import (CostReport, aggregate_results, class_feature_table,
-                       cost_report, count_flops, count_params,
-                       estimate_activation_memory, structure_depth,
-                       structure_displacement, structure_size)
+from .analysis import (CostReport, class_feature_table, cost_report,
+                       count_flops, count_params, estimate_activation_memory,
+                       structure_depth, structure_displacement, structure_size)
 from .autodiff import Tensor, backward
 from .config import (ConfigError, ExperimentConfig, FoldConfig, GridConfig,
                      SourceConfig, config_from_dict, config_to_dict,
@@ -36,8 +35,8 @@ __all__ = [
     "GradCheckReport", "GridConfig", "LabeledVolume", "MODES", "ModelSpec",
     "PhantomMetadata", "PhantomRecipe", "PlateauSchedule", "SegmentationModel",
     "SliceSample", "SourceConfig", "StructureRecipe", "Tensor", "TrainConfig",
-    "TrainHistory", "TransitionBlock", "adam_step", "aggregate_results",
-    "assemble_model", "augment", "backward", "build_samples",
+    "TrainHistory", "TransitionBlock", "adam_step", "assemble_model",
+    "augment", "backward", "build_samples",
     "class_feature_table", "combined_loss", "config_from_dict",
     "config_to_dict", "cost_report", "count_flops", "count_params",
     "cross_entropy_loss", "dataset_presets", "dice_per_class", "evaluate",

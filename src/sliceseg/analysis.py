@@ -200,45 +200,3 @@ def cost_report(model: SegmentationModel, in_plane: tuple[int, int],
         report.seconds_per_prediction = time.perf_counter() - t0
     return report
 
-
-# ---------------------------------------------------------------------------
-# result aggregation
-
-
-def aggregate_results(fold_rows: list[dict], expected_cells: list[tuple] | None = None) -> list[dict]:
-    """Collapse per-fold scores into one row per experiment cell.
-
-    ``fold_rows`` entries need mode, backbone, d and mean_dsc keys. Rows
-    are grouped by (mode, backbone, d) and reduced to mean and population
-    standard deviation. With ``expected_cells`` given, every expected cell
-    must be present or a ValueError is raised.
-    """
-    groups: dict[tuple, list[float]] = {}
-    for row in fold_rows:
-        key = (row["mode"], row["backbone"], int(row["d"]))
-        groups.setdefault(key, []).append(float(row["mean_dsc"]))
-    if expected_cells is not None:
-        missing = [c for c in expected_cells if tuple(c) not in groups]
-        if missing:
-            raise ValueError(f"aggregate is missing cells: {missing}")
-        keys = [tuple(c) for c in expected_cells]
-    else:
-        keys = sorted(groups)
-    out = []
-    for key in keys:
-        scores = groups[key]
-        out.append({
-            "mode": key[0], "backbone": key[1], "d": key[2],
-            "folds": len(scores),
-            "mean_dsc": float(np.mean(scores)),
-            "std_dsc": float(np.std(scores)),
-        })
-    return out
-
-
-def aggregate_table_lines(rows: list[dict]) -> list[str]:
-    lines = ["mode,backbone,d,folds,mean_dsc,std_dsc"]
-    for r in rows:
-        lines.append(f"{r['mode']},{r['backbone']},{r['d']},{r['folds']},"
-                     f"{r['mean_dsc']!r},{r['std_dsc']!r}")
-    return lines

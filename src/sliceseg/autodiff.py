@@ -268,13 +268,6 @@ def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _node(out, (x,), "sum_axes", bwd)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def bwd(g):
-        accumulate_grad(x, g.reshape(x.data.shape))
-
-    return _node(x.data.reshape(shape), (x,), "reshape", bwd)
-
-
 def fold_windows(x: Tensor, d: int) -> Tensor:
     """(N, H, W, D, C) -> (N * (D-d+1), H, W, d * C): each run of d
     neighbouring slices becomes one feature map. Row n * (D-d+1) + j is

@@ -22,12 +22,13 @@ from .config import (ConfigError, ExperimentConfig, SourceConfig, config_to_dict
 from .data import check_fold_sizes, make_folds, normalize_ct, normalize_zscore
 from .models import ModelSpec, SegmentationModel, assemble_model
 from .phantom import LabeledVolume, dataset_presets, generate_cohort
-from .training import build_samples, evaluate, run_training
+from .training import EpochRecord, build_samples, evaluate, run_training
 
 _PALETTE = (
     (230, 60, 60), (60, 130, 230), (70, 200, 90), (240, 200, 40),
     (190, 80, 220), (40, 210, 210), (250, 140, 40), (160, 160, 160),
 )
+COST_FIELDS = [f.name for f in dataclasses.fields(analysis.CostReport)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,9 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
     train_samples = build_samples([by_id[i] for i in split.train], spec)
     val_samples = build_samples([by_id[i] for i in split.val], spec)
     history = run_training(model, train_samples, val_samples, train_cfg)
-    history.write(os.path.join(fold_dir, "history.csv"))
+    volio.write_table(os.path.join(fold_dir, "history.csv"),
+                      [f.name for f in dataclasses.fields(EpochRecord)],
+                      [dataclasses.astuple(r) for r in history.records])
     metrics = {"per_class_dsc": None, "mean_foreground_dsc": None, "best_val_loss": None,
                "epochs": len(history.records), "stop_reason": history.stop_reason,
                "test_patients": list(split.test)}
@@ -116,9 +119,7 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
         metrics.update(per_class_dsc=[float(x) for x in result.per_class],
                        mean_foreground_dsc=float(result.mean_foreground),
                        best_val_loss=float(history.best_val_loss))
-    with open(os.path.join(fold_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    volio.write_json(os.path.join(fold_dir, "metrics.json"), metrics)
     return metrics
 
 
@@ -160,15 +161,12 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
         name = cell_name(spec)
         cell_dir = os.path.join(out_dir, "cells", name)
         os.makedirs(cell_dir, exist_ok=True)
-        with open(os.path.join(cell_dir, "cell.json"), "w", encoding="utf-8") as fh:
-            json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        volio.write_json(os.path.join(cell_dir, "cell.json"), spec.to_dict())
         report = analysis.cost_report(assemble_model(spec, seed=0),
                                       volumes[0].image.shape[:2])
-        with open(os.path.join(cell_dir, "cost.csv"), "w", encoding="utf-8") as fh:
-            fh.write("parameter_count,flop_count,activation_memory_bytes\n")
-            fh.write(f"{report.parameter_count},{report.flop_count},"
-                     f"{report.activation_memory_bytes}\n")
+        static = COST_FIELDS[:3]  # a run times nothing, so only the counts
+        volio.write_table(os.path.join(cell_dir, "cost.csv"), static,
+                          [[getattr(report, name) for name in static]])
 
         for fold_index, split in enumerate(folds):
             fold_dir = os.path.join(cell_dir, f"fold{fold_index}")
@@ -191,31 +189,42 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
     return write_aggregate(out_dir)
 
 
+def _fold_score(path: str) -> float:
+    """The mean foreground Dice a fold's metrics.json holds; a missing,
+    malformed or unscored file raises ``ValueError`` naming its path."""
+    if not os.path.exists(path):
+        raise ValueError(f"missing result {path}; run the grid to completion first")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            metrics = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(metrics, dict) or "mean_foreground_dsc" not in metrics:
+        raise ValueError(f"{path} has no 'mean_foreground_dsc' field")
+    score = metrics["mean_foreground_dsc"]
+    if score is None:
+        raise ValueError(f"{path} holds no score: the fold stopped "
+                         f"{metrics.get('stop_reason')} before any finite epoch")
+    if type(score) not in (int, float):
+        raise ValueError(f"{path} has a 'mean_foreground_dsc' that is not a number: {score!r}")
+    return score
+
+
 def write_aggregate(out_dir: str) -> str:
-    """Rebuild aggregate.csv from the metrics stored in a run directory."""
+    """Rebuild aggregate.csv from the metrics stored in a run directory:
+    one row per grid cell, in grid order, with the mean and population
+    standard deviation of its folds' scores."""
     cfg = load_config(os.path.join(out_dir, "config.json"))
-    cells_dir = os.path.join(out_dir, "cells")
     rows = []
-    expected = []
     # channel/class counts do not matter for cell identity
     for spec in expand_grid(cfg.grid, in_channels=1, num_classes=2):
-        expected.append((spec.mode, spec.backbone, spec.d))
-        cell_dir = os.path.join(cells_dir, cell_name(spec))
-        for fold_index in range(cfg.folds.count):
-            path = os.path.join(cell_dir, f"fold{fold_index}", "metrics.json")
-            if not os.path.exists(path):
-                raise ValueError(f"missing result {path}; run the grid to completion first")
-            with open(path, "r", encoding="utf-8") as fh:
-                metrics = json.load(fh)
-            if metrics["mean_foreground_dsc"] is None:
-                raise ValueError(f"{path} holds no score: the fold stopped "
-                                 f"{metrics['stop_reason']} before any finite epoch")
-            rows.append({"mode": spec.mode, "backbone": spec.backbone, "d": spec.d,
-                         "mean_dsc": metrics["mean_foreground_dsc"]})
-    table = analysis.aggregate_results(rows, expected_cells=expected)
+        cell_dir = os.path.join(out_dir, "cells", cell_name(spec))
+        scores = [_fold_score(os.path.join(cell_dir, f"fold{k}", "metrics.json"))
+                  for k in range(cfg.folds.count)]
+        rows.append((spec.mode, spec.backbone, spec.d, len(scores),
+                     float(np.mean(scores)), float(np.std(scores))))
     out_path = os.path.join(out_dir, "aggregate.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(analysis.aggregate_table_lines(table)) + "\n")
+    volio.write_table(out_path, ["mode", "backbone", "d", "folds", "mean_dsc", "std_dsc"], rows)
     return out_path
 
 
@@ -266,8 +275,7 @@ def _cmd_profile(args) -> int:
     _check_cohort(cfg, volumes)
     k, c = cohort_num_classes(volumes), volumes[0].image.shape[-1]
     in_plane = volumes[0].image.shape[:2]
-    lines = ["mode,backbone,d,parameter_count,flop_count,activation_memory_bytes,"
-             "seconds_per_training_step,seconds_per_prediction"]
+    rows = []
     for spec in expand_grid(cfg.grid, in_channels=c, num_classes=k):
         model = assemble_model(spec, seed=0)
         samples = build_samples(volumes[:1], spec)[:cfg.train.batch_size]
@@ -275,16 +283,8 @@ def _cmd_profile(args) -> int:
         y = np.eye(k)[np.stack([s.target for s in samples]).astype(np.int64)]
         report = analysis.cost_report(model, in_plane, timing_batch=(x, y),
                                       loss_fn=cfg.train.loss_fn)
-        lines.append(f"{spec.mode},{spec.backbone},{spec.d},{report.parameter_count},"
-                     f"{report.flop_count},{report.activation_memory_bytes},"
-                     f"{report.seconds_per_training_step:.4f},"
-                     f"{report.seconds_per_prediction:.4f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        rows.append([spec.mode, spec.backbone, spec.d, *dataclasses.astuple(report)])
+    volio.write_table(args.out, ["mode", "backbone", "d", *COST_FIELDS], rows)
     return 0
 
 
@@ -295,20 +295,11 @@ def _cmd_features(args) -> int:
     if num_classes < 2:
         raise ValueError("no foreground classes present in the volume directory")
     rows = analysis.class_feature_table(labels, num_classes)
-    lines = ["class_id,depth,size_fraction,displacement"]
-    for r in rows:
-        lines.append(f"{r['class_id']},{r['depth']!r},{r['size_fraction']!r},"
-                     f"{r['displacement']!r}")
+    columns = ("depth", "size_fraction", "displacement")
+    table = [[r["class_id"], *(r[c] for c in columns)] for r in rows]
     for agg_name, fn in (("min", min), ("mean", lambda v: sum(v) / len(v)), ("max", max)):
-        lines.append(f"{agg_name},{fn([r['depth'] for r in rows])!r},"
-                     f"{fn([r['size_fraction'] for r in rows])!r},"
-                     f"{fn([r['displacement'] for r in rows])!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        table.append([agg_name, *(fn([r[c] for r in rows]) for c in columns)])
+    volio.write_table(args.out, ["class_id", *columns], table)
     return 0
 
 

@@ -6,9 +6,11 @@ field path, so typos in grid definitions cannot silently change a run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
+from . import volio
 from .data import AugmentParams, check_fold_sizes
 from .models import BACKBONES, MODES, ModelSpec
 from .training import TrainConfig
@@ -140,7 +142,11 @@ def _parse_value(tp, v, path: str):
     accepted, description = _SCALARS[tp]
     if not isinstance(v, accepted) or (isinstance(v, bool) and tp is not bool):
         raise ConfigError(f"'{path}' must be {description}, got {v!r}")
-    return float(v) if tp is float else v
+    if tp is not float:
+        return v
+    if not math.isfinite(v):  # json.load reads NaN and Infinity
+        raise ConfigError(f"'{path}' must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _parse_dataclass(cls, d, path: str):
@@ -186,9 +192,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def save_config(c: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    volio.write_json(path, config_to_dict(c))
 
 
 def expand_grid(grid: GridConfig, in_channels: int, num_classes: int) -> list[ModelSpec]:

@@ -38,8 +38,6 @@ class SliceSample:
     """
     stack: np.ndarray
     target: np.ndarray
-    patient_id: str
-    slice_index: int
 
 
 def depth_window(image: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -62,8 +60,7 @@ def extract_stack(volume: LabeledVolume, center: int, d: int) -> SliceSample:
         raise ValueError(f"slice {center} outside volume of depth {depth}")
     r = d // 2
     return SliceSample(stack=depth_window(volume.image, center - r, center + r + 1),
-                       target=volume.labels[:, :, center],
-                       patient_id=volume.patient_id, slice_index=center)
+                       target=volume.labels[:, :, center])
 
 
 @dataclass(frozen=True)

@@ -137,34 +137,6 @@ class TrainHistory:
     stop_reason: str = ""
     best_val_loss: float = float("nan")
 
-    HEADER = "epoch,train_loss,val_loss,val_dsc,lr"
-
-    def to_lines(self) -> list[str]:
-        lines = [self.HEADER]
-        for r in self.records:
-            lines.append(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.val_dsc!r},{r.lr!r}")
-        return lines
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
-
-    @classmethod
-    def from_lines(cls, lines) -> "TrainHistory":
-        rows = [ln for ln in (ln.strip() for ln in lines) if ln]
-        if not rows or rows[0] != cls.HEADER:
-            raise ValueError("history file must start with the standard header")
-        records = []
-        for ln in rows[1:]:
-            e, tl, vl, vd, lr = ln.split(",")
-            records.append(EpochRecord(int(e), float(tl), float(vl), float(vd), float(lr)))
-        return cls(records=records)
-
-    @classmethod
-    def read(cls, path) -> "TrainHistory":
-        with open(path) as fh:
-            return cls.from_lines(fh.readlines())
-
 
 def build_samples(volumes, spec) -> list[SliceSample]:
     """Expand volumes into model inputs: one sample per slice for the
@@ -176,8 +148,7 @@ def build_samples(volumes, spec) -> list[SliceSample]:
         if spec.mode == "end2end_3d":
             for z0 in _tile_starts(depth, spec.d):
                 samples.append(SliceSample(stack=vol.image[:, :, z0:z0 + spec.d, :],
-                                           target=vol.labels[:, :, z0:z0 + spec.d],
-                                           patient_id=vol.patient_id, slice_index=z0))
+                                           target=vol.labels[:, :, z0:z0 + spec.d]))
         else:
             for z in range(depth):
                 samples.append(extract_stack(vol, z, spec.d))

@@ -1,6 +1,11 @@
-"""Binary volume files.
+"""Every file the lab writes: .ssv volumes, JSON records, CSV tables.
 
-Layout (all integers little endian):
+JSON records are sorted, 2-space indented and end in a newline; NaN and
+infinities are refused. CSV tables are a header line, then one line per
+row of ``str`` values joined by commas, so every float reads back
+exactly with ``float()``.
+
+Volume layout (all integers little endian):
     magic   4 bytes  b"SSV1"
     rank    u32
     extents u32 * rank
@@ -13,8 +18,10 @@ label map.
 """
 from __future__ import annotations
 
+import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +34,24 @@ DTYPE_LABELS = 1
 DTYPES = {DTYPE_IMAGE: np.dtype("<f4"), DTYPE_LABELS: np.dtype(np.uint8)}
 IMAGE_SUFFIX = ".image.ssv"
 LABELS_SUFFIX = ".labels.ssv"
+
+
+def write_json(path, obj) -> None:
+    # encoded in full first, so a refused value leaves no partial file
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table to ``path``, or to stdout when ``path`` is None."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_array(path, array: np.ndarray) -> None:

@@ -1,9 +1,13 @@
-"""Structure features against hand values and the generator oracle, plus
-model cost accounting."""
+"""Structure features against hand values and the generator oracle,
+model cost accounting, and the aggregate table of a run directory."""
+import csv
+import os
+import re
+
 import numpy as np
 import pytest
 
-from sliceseg import analysis
+from sliceseg import analysis, cli
 from sliceseg.models import ModelSpec, assemble_model
 from sliceseg.phantom import PhantomRecipe, StructureRecipe, generate_phantom
 
@@ -245,48 +249,57 @@ def test_cost_report_with_timing():
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# aggregation: write_aggregate over hand-made run directories
 
 
-def rows_for(mode="proposed", backbone="unet", d=3, scores=(0.7, 0.9)):
-    return [{"mode": mode, "backbone": backbone, "d": d, "mean_dsc": s}
-            for s in scores]
+def aggregate_rows(run_dir) -> list[dict]:
+    with open(cli.write_aggregate(run_dir), "r", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_aggregate_hand_arithmetic():
-    table = analysis.aggregate_results(rows_for(scores=(0.7, 0.9)))
-    assert table[0]["mean_dsc"] == pytest.approx(0.8)
-    assert table[0]["std_dsc"] == pytest.approx(0.1)
-    assert table[0]["folds"] == 2
+def test_aggregate_hand_arithmetic(make_run_dir):
+    [row] = aggregate_rows(make_run_dir({"proposed": (0.7, 0.9)}))
+    assert float(row["mean_dsc"]) == pytest.approx(0.8)
+    assert float(row["std_dsc"]) == pytest.approx(0.1)
+    assert row["folds"] == "2"
 
 
-def test_aggregate_identical_runs_zero_std():
-    table = analysis.aggregate_results(rows_for(scores=(0.5,) * 5))
-    assert table[0]["std_dsc"] == 0.0
+def test_aggregate_identical_runs_zero_std(make_run_dir):
+    [row] = aggregate_rows(make_run_dir({"proposed": (0.5,) * 5}))
+    assert float(row["mean_dsc"]) == 0.5
+    assert float(row["std_dsc"]) == 0.0
 
 
-def test_aggregate_population_std():
-    # ddof 0: five runs {0.6,0.7,0.8} -> std sqrt(mean((x-mean)^2))
+def test_aggregate_population_std(make_run_dir):
+    # ddof 0: std sqrt(mean((x - mean)^2)), not the sample std
     scores = (0.6, 0.7, 0.8)
-    table = analysis.aggregate_results(rows_for(scores=scores))
-    assert table[0]["std_dsc"] == pytest.approx(np.std(scores))
+    [row] = aggregate_rows(make_run_dir({"proposed": scores}))
+    assert float(row["std_dsc"]) == float(np.std(scores))
+    assert float(row["std_dsc"]) != pytest.approx(np.std(scores, ddof=1))
 
 
-def test_aggregate_missing_cell_error():
-    with pytest.raises(ValueError):
-        analysis.aggregate_results(rows_for(),
-                                   expected_cells=[("proposed", "unet", 3),
-                                                   ("end2end_2d", "unet", 1)])
+def test_aggregate_missing_cell_error(make_run_dir):
+    run_dir = make_run_dir({"end2end_2d": (0.7, 0.9), "proposed": (0.7, 0.9)})
+    path = os.path.join(run_dir, "cells", "proposed-unet-d03", "fold1", "metrics.json")
+    os.remove(path)
+    with pytest.raises(ValueError, match=re.escape(f"missing result {path}")):
+        cli.write_aggregate(run_dir)
+    assert not os.path.exists(os.path.join(run_dir, "aggregate.csv"))
 
 
-def test_aggregate_row_order_follows_expected_cells():
-    rows = rows_for() + rows_for(mode="end2end_2d", d=1)
-    expected = [("end2end_2d", "unet", 1), ("proposed", "unet", 3)]
-    table = analysis.aggregate_results(rows, expected_cells=expected)
-    assert [(r["mode"], r["backbone"], r["d"]) for r in table] == expected
+def test_aggregate_row_order_follows_expected_cells(make_run_dir):
+    # grid order, which here is not sorted order
+    rows = aggregate_rows(make_run_dir({"proposed": (0.7, 0.9), "end2end_2d": (0.5, 0.6),
+                                        "channel_based": (0.1, 0.2)}))
+    assert [(r["mode"], r["backbone"], r["d"]) for r in rows] == [
+        ("proposed", "unet", "3"), ("end2end_2d", "unet", "1"),
+        ("channel_based", "unet", "3")]
+    assert [float(r["mean_dsc"]) for r in rows] == pytest.approx([0.8, 0.55, 0.15])
 
 
-def test_aggregate_table_lines_header():
-    lines = analysis.aggregate_table_lines(analysis.aggregate_results(rows_for()))
+def test_aggregate_table_lines_header(make_run_dir):
+    run_dir = make_run_dir({"proposed": (0.7, 0.9)})
+    with open(cli.write_aggregate(run_dir), "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "mode,backbone,d,folds,mean_dsc,std_dsc"
     assert len(lines) == 2

@@ -75,6 +75,11 @@ MALFORMED = [
     ("train.batch_size", 8.0, "'train.batch_size' must be an integer, got 8.0"),
     ("train.initial_lr", "fast", "'train.initial_lr' must be a number, got 'fast'"),
     ("train.initial_lr", True, "'train.initial_lr' must be a number, got True"),
+    ("train.initial_lr", float("nan"), "'train.initial_lr' must be a finite number, got nan"),
+    ("train.min_improvement", float("inf"),
+     "'train.min_improvement' must be a finite number, got inf"),
+    ("train.augment.zoom_range", [0.9, float("-inf")],
+     "'train.augment.zoom_range' must be a finite number, got -inf"),
     ("train.augment.enable_flip", 1,
      "'train.augment.enable_flip' must be true or false, got 1"),
     ("source.kind", 3, "'source.kind' must be a string, got 3"),
@@ -317,6 +322,10 @@ def test_metrics_record_expected_fields(grid_run):
                             "stop_reason", "best_val_loss", "test_patients"}
     assert len(metrics["per_class_dsc"]) == 3
     assert metrics["epochs"] == 1
+    with open(os.path.join(os.path.dirname(path), "history.csv"), "r", encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "epoch,train_loss,val_loss,val_dsc,lr"
+    assert [row.split(",")[0] for row in rows] == ["1"]
 
 
 def test_aggregate_verb_reprints_table(grid_run, capsys):
@@ -333,6 +342,21 @@ def test_aggregate_refuses_incomplete_run(tmp_path, capsys):
                 os.path.join(out_dir, "config.json"))
     assert cli.main(["aggregate", out_dir]) == 1
     assert "missing result" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken,cause", [
+    ('{\n  "epochs": 1\n', "is not valid JSON: Expecting ',' delimiter"),
+    ('{"epochs": 1, "stop_reason": "max_epochs"}\n', "has no 'mean_foreground_dsc' field"),
+    ('{"mean_foreground_dsc": "0.5"}\n',
+     "has a 'mean_foreground_dsc' that is not a number: '0.5'"),
+], ids=["truncated", "no_score", "text_score"])
+def test_aggregate_names_broken_metrics(make_run_dir, capsys, broken, cause):
+    run_dir = make_run_dir({"end2end_2d": (0.7, 0.9)})
+    path = os.path.join(run_dir, "cells", "end2end_2d-unet-d01", "fold1", "metrics.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(broken)
+    assert cli.main(["aggregate", run_dir]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} {cause}")
 
 
 def test_class_count_spans_the_whole_cohort(tmp_path, capsys):

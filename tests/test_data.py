@@ -1,5 +1,7 @@
-"""Preprocessing, augmentation, fold splitting, and case serialization."""
+"""Preprocessing, augmentation, fold splitting, case serialization, and
+the JSON and CSV writers."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -66,7 +68,6 @@ def test_extract_stack_center_slices():
     assert s.stack.shape == (8, 8, 3, 1)
     assert np.array_equal(s.stack[:, :, 1], v.image[:, :, 4])
     assert np.array_equal(s.target, v.labels[:, :, 4])
-    assert s.slice_index == 4
 
 
 def test_extract_stack_replicates_edges():
@@ -94,7 +95,7 @@ def sample_for_augment(seed=0, d=3):
     rng = np.random.default_rng(seed)
     stack = rng.normal(size=(12, 12, d, 2))
     target = rng.integers(0, 4, size=(12, 12)).astype(np.uint8)
-    return SliceSample(stack=stack, target=target, patient_id="p", slice_index=1)
+    return SliceSample(stack=stack, target=target)
 
 
 def test_augment_zero_probability_is_identity():
@@ -148,7 +149,7 @@ def test_augment_3d_target():
     rng = np.random.default_rng(7)
     stack = rng.normal(size=(12, 12, 8, 1))
     target = rng.integers(0, 3, size=(12, 12, 8)).astype(np.uint8)
-    s = SliceSample(stack=stack, target=target, patient_id="p", slice_index=0)
+    s = SliceSample(stack=stack, target=target)
     out = augment(s, AugmentParams(probability=1.0), np.random.default_rng(8))
     assert out.target.shape == (12, 12, 8)
     assert set(np.unique(out.target)) <= set(np.unique(target))
@@ -303,3 +304,37 @@ def test_read_fuzzed_file_raises_or_roundtrips(tmp_path_factory, array, data):
     else:
         with pytest.raises(ValueError, match="a.ssv: "):
             volio.read_array(path)
+
+
+# ---------------------------------------------------------------------------
+# JSON records and CSV tables
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4),
+                min_size=1, max_size=4))
+def test_table_floats_read_back_bit_exact(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    volio.write_table(path, ["label", "values"], [["row", *r] for r in rows])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "label,values"
+    back = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
+    # bit patterns, so that -0.0 and 0.0 differ
+    assert ([[struct.pack("<d", v) for v in r] for r in back]
+            == [[struct.pack("<d", v) for v in r] for r in rows])
+
+
+def test_table_to_stdout(capsys):
+    volio.write_table(None, ["a", "b"], [[1, 0.1], ["x", -0.0]])
+    assert capsys.readouterr().out == "a,b\n1,0.1\nx,-0.0\n"
+
+
+def test_json_record_refuses_nan_and_writes_nothing(tmp_path):
+    path = tmp_path / "r.json"
+    volio.write_json(path, {"b": [1, 0.5], "a": None})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": null,\n  "b": [\n    1,\n    0.5\n  ]\n}\n')
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            volio.write_json(tmp_path / "bad.json", {"score": value})
+        assert not (tmp_path / "bad.json").exists()

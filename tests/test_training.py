@@ -8,9 +8,9 @@ from sliceseg.data import extract_stack
 from sliceseg.losses import combined_loss
 from sliceseg.models import ModelSpec, assemble_model
 from sliceseg.phantom import PhantomRecipe, StructureRecipe, generate_cohort
-from sliceseg.training import (AdamState, EpochRecord, PlateauSchedule, TrainConfig,
-                               TrainHistory, adam_step, build_samples, evaluate,
-                               predict_volume, run_training, validate)
+from sliceseg.training import (AdamState, PlateauSchedule, TrainConfig, adam_step,
+                               build_samples, evaluate, predict_volume, run_training,
+                               validate)
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +113,6 @@ def test_first_observation_is_baseline_not_improvement():
     improved, stop = sched.observe(123.4)
     assert not improved and not stop
     assert sched.best == 123.4
-
-
-# ---------------------------------------------------------------------------
-# history serialization
-
-
-def test_history_roundtrip(tmp_path):
-    records = [EpochRecord(1, 0.5, 0.6, 0.1, 1e-4),
-               EpochRecord(2, 1 / 3, 2 / 7, 0.25, 2e-5)]
-    hist = TrainHistory(records=records, stop_reason="early_stop", best_val_loss=2 / 7)
-    path = str(tmp_path / "history.csv")
-    hist.write(path)
-    back = TrainHistory.read(path)
-    assert back.records == records
-
-
-def test_history_parses_repr_floats_exactly():
-    line_value = repr(1 / 3)
-    hist = TrainHistory.from_lines([TrainHistory.HEADER,
-                                    f"1,{line_value},0.5,0.5,0.0001"])
-    assert hist.records[0].train_loss == 1 / 3
 
 
 # ---------------------------------------------------------------------------
