@@ -232,15 +232,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _node(np.clip(x.data, lo, hi), (x,), "clip", bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def bwd(g):
-        accumulate_grad(x, g * mask)
-
-    return _node(x.data * mask, (x,), "relu", bwd)
-
-
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         accumulate_grad(x, np.broadcast_to(g, x.data.shape))

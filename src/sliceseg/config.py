@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from . import volio
-from .data import AugmentParams, check_fold_sizes
+from .data import check_fold_sizes
 from .models import BACKBONES, MODES, ModelSpec
 from .training import TrainConfig
 
@@ -144,9 +144,13 @@ def _parse_value(tp, v, path: str):
         raise ConfigError(f"'{path}' must be {description}, got {v!r}")
     if tp is not float:
         return v
-    if not math.isfinite(v):  # json.load reads NaN and Infinity
+    try:
+        value = float(v)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # json.load reads NaN and Infinity
         raise ConfigError(f"'{path}' must be a finite number, got {v!r}")
-    return float(v)
+    return value
 
 
 def _parse_dataclass(cls, d, path: str):

@@ -6,12 +6,13 @@ input coordinate nudged by ``+step`` and ``-step`` and compares the central
 difference against the analytic gradient.
 
 A central difference is only a valid derivative oracle where the function
-is smooth across [x - step, x + step]. Piecewise-linear nodes (relu, max
-pooling) create kinks; a coordinate that lands near one produces an
-estimate that changes with the step size. Suspicious coordinates are
-therefore re-probed at a smaller step, and ones whose numeric estimate is
-itself step-unstable are excluded and counted in the report instead of
-being compared against the analytic value.
+is smooth across [x - step, x + step]. Piecewise-linear nodes (the ReLU
+that ends batch norm, max pooling) create kinks; a coordinate that lands
+near one produces an estimate that changes with the step size.
+Suspicious coordinates are therefore re-probed at a smaller step, and
+ones whose numeric estimate is itself step-unstable are excluded and
+counted in the report instead of being compared against the analytic
+value.
 """
 from __future__ import annotations
 

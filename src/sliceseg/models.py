@@ -100,7 +100,7 @@ class BatchNorm:
 
 
 class ConvBlock:
-    """Convolution, batch norm, relu."""
+    """Convolution, then batch norm with its ReLU: two graph nodes."""
 
     def __init__(self, rng, rank: int, cin: int, cout: int,
                  padded: tuple[bool, ...] | None = None):
@@ -108,7 +108,7 @@ class ConvBlock:
         self.bn = BatchNorm(cout)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.relu(self.bn.forward(self.conv.forward(x), training))
+        return self.bn.forward(self.conv.forward(x), training)
 
     def iter_layers(self, prefix: str):
         yield prefix + ".conv", self.conv

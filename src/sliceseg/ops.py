@@ -3,9 +3,10 @@
 All ops take channels-last batched tensors: rank-2 data is (N, H, W, C)
 and rank-3 data is (N, H, W, D, C). Kernels are stored spatial-first,
 (k1, ..., kr, Cin, Cout). Convolution is evaluated by gathering windows
-into a column matrix and multiplying (im2col). Backward regathers the
-input windows for the weight gradient rather than keeping the column
-matrix alive, and gets the input gradient as a correlation of the output
+into a column matrix and multiplying (im2col). The graph keeps only the
+unpadded input: backward re-pads it and regathers its windows for the
+weight gradient rather than keeping the padded copy or the column matrix
+alive, and gets the input gradient as a correlation of the output
 gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
 """
 from __future__ import annotations
@@ -102,8 +103,12 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
             f"kernel {kernel}, padded {padded_axes}")
 
     pad_spec = ((0, 0),) + tuple((p, p) for p in pads) + ((0, 0),)
-    xp = np.pad(x.data, pad_spec) if any(pads) else x.data
-    y = _im2col(xp, kernel) @ w.data.reshape(-1, cout)
+
+    def columns():
+        xp = np.pad(x.data, pad_spec) if any(pads) else x.data
+        return _im2col(xp, kernel)
+
+    y = columns() @ w.data.reshape(-1, cout)
     if b is not None:
         if b.data.shape != (cout,):
             raise ValueError(f"bias shape {b.data.shape} does not match {cout} filters")
@@ -116,7 +121,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     def bwd(g):
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
-            accumulate_grad(w, (_im2col(xp, kernel).T @ gmat).reshape(w.data.shape))
+            accumulate_grad(w, (columns().T @ gmat).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, gmat.sum(axis=0))
         if x.requires_grad:
@@ -258,10 +263,16 @@ class RunningStats:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                training: bool, momentum: float = 0.99, eps: float = 1e-3) -> Tensor:
-    """Batch normalisation over all axes except the trailing channel axis.
+    """Batch normalisation over all axes except the trailing channel axis,
+    followed by ReLU, as one graph node.
 
     Training mode normalises with batch statistics and folds them into the
-    running averages; inference mode uses the stored averages only.
+    running averages; inference mode uses the stored averages only. The
+    steps run in place, in the elementwise order of a separate batch norm
+    followed by ``y * (y > 0)``, so results match that pair bit for bit.
+    Training keeps only ``xhat``, the ReLU mask and ``inv_std`` for
+    backward. Inference writes its output over ``xhat`` and keeps the
+    mask; a backward pass through it recomputes ``xhat`` from ``x``.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -273,28 +284,39 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
 
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mean
+        # numpy's own var steps, so this equals x.var(axis=axes) bit for bit
+        var = (xhat * xhat).sum(axis=axes) / m
         running.mean[:] = momentum * running.mean + (1.0 - momentum) * mean
         running.var[:] = momentum * running.var + (1.0 - momentum) * var
     else:
-        mean = running.mean
+        mean = running.mean.copy()  # training passes update it in place
         var = running.var
-
+        xhat = x.data - mean
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    y = gamma.data * xhat + beta.data
+    xhat *= inv_std
+    if training:
+        y = gamma.data * xhat
+    else:
+        y = xhat
+        y *= gamma.data
+    y += beta.data
+    mask = y > 0
+    y *= mask
     _record("batch_norm", 0, y.shape)
 
     def bwd(g):
+        g = g * mask
+        xh = xhat if training else (x.data - mean) * inv_std
         if gamma.requires_grad:
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
+            accumulate_grad(gamma, (g * xh).sum(axis=axes))
         if beta.requires_grad:
             accumulate_grad(beta, g.sum(axis=axes))
         if x.requires_grad:
             if training:
                 gxhat = g * gamma.data
                 gx = (gxhat - gxhat.mean(axis=axes)
-                      - xhat * (gxhat * xhat).mean(axis=axes)) * inv_std
+                      - xh * (gxhat * xh).mean(axis=axes)) * inv_std
             else:
                 gx = g * gamma.data * inv_std
             accumulate_grad(x, gx)

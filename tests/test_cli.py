@@ -78,6 +78,8 @@ MALFORMED = [
     ("train.initial_lr", float("nan"), "'train.initial_lr' must be a finite number, got nan"),
     ("train.min_improvement", float("inf"),
      "'train.min_improvement' must be a finite number, got inf"),
+    ("train.initial_lr", 10**400,
+     f"'train.initial_lr' must be a finite number, got {10**400!r}"),
     ("train.augment.zoom_range", [0.9, float("-inf")],
      "'train.augment.zoom_range' must be a finite number, got -inf"),
     ("train.augment.enable_flip", 1,
@@ -225,6 +227,16 @@ def test_non_list_grid_field_exits_nonzero(tmp_path, capsys):
     assert cli.main(["run", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: 'grid.d_values'")
+    assert "Traceback" not in err
+
+
+def test_integer_beyond_float_range_exits_nonzero(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_with("train.initial_lr", 10**400), fh)
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'train.initial_lr' must be a finite number, got 1000")
     assert "Traceback" not in err
 
 

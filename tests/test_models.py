@@ -1,12 +1,14 @@
 """Architecture contracts: parameter counts, shape cascades, mode wiring."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sliceseg import ops
-from sliceseg.autodiff import Tensor, backward, fold_windows
+from sliceseg.autodiff import Tensor, backward, fold_windows, topo_order
 from sliceseg.losses import combined_loss
-from sliceseg.models import (MODES, ModelSpec, SegmentationModel, TRANSITION_WIDTH,
-                             TransitionBlock, assemble_model, he_uniform)
+from sliceseg.models import (MODES, ConvBlock, ModelSpec, SegmentationModel,
+                             TRANSITION_WIDTH, TransitionBlock, assemble_model, he_uniform)
 from sliceseg.training import AdamState, adam_step
 
 
@@ -68,6 +70,29 @@ def test_channel_based_d1_count_equals_2d():
 def test_param_count_invariant_to_seed():
     assert n_params(assemble_model(spec(d=5), seed=0)) == \
         n_params(assemble_model(spec(d=5), seed=99))
+
+
+# ---------------------------------------------------------------------------
+# conv block graph
+
+
+@pytest.mark.parametrize("shape", [(2, 32, 32, 4), (1, 16, 16, 8, 4)], ids=["rank2", "rank3"])
+def test_training_conv_block_keeps_two_nodes_and_three_outputs(shape):
+    rng = np.random.default_rng(0)
+    block = ConvBlock(rng, len(shape) - 2, 4, 8)
+    x = Tensor(rng.normal(size=shape))
+    block.forward(x, training=True)  # warm-up: no first-call allocation is counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = block.forward(x, training=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # x, w, b, the conv output, gamma, beta and the batch norm + ReLU output
+    assert len(topo_order(y)) == 7
+    # conv output, xhat, the bool ReLU mask and the output: no padded copy
+    assert retained <= 3.25 * y.data.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,11 @@ def test_batch_norm_normalizes_in_training():
     gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
     running = ops.RunningStats(2)
     y = ops.batch_norm(x, gamma, beta, running, training=True).data
-    assert np.allclose(y.mean(axis=(0, 1, 2)), 0.0, atol=1e-10)
-    assert np.allclose(y.var(axis=(0, 1, 2)), 1.0, atol=1e-2)
+    # the ReLU of a zero-mean, unit-variance batch
+    axes = (0, 1, 2)
+    z = (x.data - x.data.mean(axis=axes)) / np.sqrt(x.data.var(axis=axes) + 1e-3)
+    np.testing.assert_allclose(y, np.maximum(z, 0.0), atol=1e-12)
+    assert y.min() == 0.0 and 0.3 < np.mean(y > 0) < 0.7
 
 
 def test_batch_norm_running_stats_update():
@@ -264,30 +267,108 @@ def test_batch_norm_inference_uses_running_stats():
     running = ops.RunningStats(1)
     running.mean[:] = 1.0
     running.var[:] = 4.0
-    x = Tensor(np.full((1, 2, 2, 1), 3.0))
+    x = Tensor(np.array([3.0, -1.0]).reshape(1, 2, 1, 1))
     y = ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), running,
                        training=False).data
-    assert np.allclose(y, (3.0 - 1.0) / np.sqrt(4.0 + 1e-3))
+    # (3 - 1) / std stays; (-1 - 1) / std is negative and the ReLU zeroes it
+    assert np.allclose(y.ravel(), [(3.0 - 1.0) / np.sqrt(4.0 + 1e-3), 0.0])
 
 
 def test_batch_norm_gradients():
     # probe through a fixed random linear functional: the normalization
     # constraint makes quadratic-loss input gradients nearly cancel, which
-    # drowns the comparison in finite-difference roundoff
+    # drowns the comparison in finite-difference roundoff. The offset keeps
+    # every output on the linear side of the ReLU, so this checks the
+    # normalisation's own gradient; criterion 1 checks across ReLU kinks.
     for seed in range(3):
         rng = np.random.default_rng(seed + 30)
         x = Tensor(rng.normal(size=(3, 4, 4, 2)))
         gamma = Tensor(rng.normal(size=2))
-        beta = Tensor(rng.normal(size=2))
+        beta = Tensor(rng.normal(size=2) + 5.0)
         probe = Tensor(rng.normal(size=(3, 4, 4, 2)), requires_grad=False)
 
         def fn(x_, g_, b_):
             running = ops.RunningStats(2)
             y = ops.batch_norm(x_, g_, b_, running, training=True)
+            assert y.data.min() > 0.0
             return sum_all(mul(y, probe))
 
         report = finite_difference_check(fn, [x, gamma, beta])
         assert report.max_rel_error < 1e-6
+
+
+def _unfused_bn_relu(x, gamma, beta, running, training, g, momentum=0.99, eps=1e-3):
+    """Reference: the former separate batch norm node followed by a ReLU
+    node ``y * (y > 0)``, forward and backward in their original order.
+    Returns the output and the x, gamma and beta gradients for an output
+    gradient ``g``; updates ``running`` as the training forward did."""
+    axes = tuple(range(x.ndim - 1))
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running.mean[:] = momentum * running.mean + (1.0 - momentum) * mean
+        running.var[:] = momentum * running.var + (1.0 - momentum) * var
+    else:
+        mean = running.mean
+        var = running.var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    bn = gamma * xhat + beta
+    mask = bn > 0
+    y = bn * mask
+    g = g * mask
+    if training:
+        gxhat = g * gamma
+        gx = (gxhat - gxhat.mean(axis=axes) - xhat * (gxhat * xhat).mean(axis=axes)) * inv_std
+    else:
+        gx = g * gamma * inv_std
+    return y, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+@st.composite
+def _bn_cases(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    shape = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(1, 5), min_size=rank,
+                                                     max_size=rank)),
+             draw(st.integers(1, 8)))
+    return shape, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bn_cases())
+def test_batch_norm_relu_matches_unfused_oracle_bit_for_bit(case):
+    shape, training, seed = case
+    rng = np.random.default_rng(seed)
+    c = shape[-1]
+    x = Tensor(rng.normal(loc=1.0, scale=2.0, size=shape), requires_grad=True)
+    gamma = Tensor(rng.normal(size=c), requires_grad=True)
+    beta = Tensor(rng.normal(size=c), requires_grad=True)
+    g = rng.normal(size=shape)
+    running, ref_running = ops.RunningStats(c), ops.RunningStats(c)
+    for stats in (running, ref_running):
+        stats.mean[:] = np.arange(c) * 0.1
+        stats.var[:] = 1.0 + np.arange(c) * 0.5
+    want = _unfused_bn_relu(x.data, gamma.data, beta.data, ref_running, training, g)
+    y = ops.batch_norm(x, gamma, beta, running, training)
+    backward(sum_all(mul(y, Tensor(g))))
+    for got, ref in zip((y.data, x.grad, gamma.grad, beta.grad), want):
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(running.mean, ref_running.mean)
+    np.testing.assert_array_equal(running.var, ref_running.var)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bn_cases())
+def test_batch_norm_var_from_centred_input_equals_numpy_var(case):
+    # with momentum 0 the running averages hold the batch statistics themselves
+    shape, _, seed = case
+    x = np.random.default_rng(seed).normal(loc=3.0, scale=5.0, size=shape)
+    axes = tuple(range(x.ndim - 1))
+    running = ops.RunningStats(shape[-1])
+    ops.batch_norm(Tensor(x), Tensor(np.ones(shape[-1])), Tensor(np.zeros(shape[-1])),
+                   running, training=True, momentum=0.0)
+    np.testing.assert_array_equal(running.mean, x.mean(axis=axes))
+    np.testing.assert_array_equal(running.var, x.var(axis=axes))
 
 
 # ---------------------------------------------------------------------------
