@@ -5,9 +5,9 @@ with Dice and cross-entropy losses on synthetic phantom volumes, with
 cost accounting and label-structure analysis. Everything runs on plain
 numpy with an internal reverse-mode autodiff.
 """
-from .analysis import (CostReport, class_feature_table, cost_report,
-                       count_flops, count_params, estimate_activation_memory,
-                       structure_depth, structure_displacement, structure_size)
+from .analysis import (CostReport, class_feature_table, cost_report, count_flops,
+                       count_params, structure_depth, structure_displacement,
+                       structure_size)
 from .autodiff import Tensor, backward
 from .config import (ConfigError, ExperimentConfig, FoldConfig, GridConfig,
                      SourceConfig, config_from_dict, config_to_dict,

@@ -143,7 +143,9 @@ def _traced_forward(model: SegmentationModel, in_plane: tuple[int, int]) -> list
 
 
 def _static_costs(model: SegmentationModel, in_plane: tuple[int, int]) -> tuple[int, int]:
-    """FLOPs and activation bytes, both from one traced forward pass."""
+    """FLOPs and activation bytes, both from one traced forward pass. The
+    bytes count every traced layer output plus the input plus the
+    parameters, at 8 bytes per value."""
     records = _traced_forward(model, in_plane)
     flops = sum(FLOPS_PER_MAC * r.macs for r in records)
     values = (sum(math.prod(r.shape) for r in records)
@@ -155,13 +157,6 @@ def count_flops(model: SegmentationModel, in_plane: tuple[int, int]) -> int:
     """Forward-pass floating point operations for a single input at the
     given in-plane size, under the 2-FLOPs-per-MAC convention."""
     return _static_costs(model, in_plane)[0]
-
-
-def estimate_activation_memory(model: SegmentationModel, in_plane: tuple[int, int]) -> int:
-    """Analytic bytes held by one forward pass: every traced layer output
-    (convolutions, pooling, unpooling, interpolation, normalisation) plus
-    the input plus the parameters, at 8 bytes per value."""
-    return _static_costs(model, in_plane)[1]
 
 
 @dataclass

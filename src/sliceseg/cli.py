@@ -83,7 +83,7 @@ def cell_name(spec: ModelSpec) -> str:
 def _cell_hash(spec: ModelSpec, cfg: ExperimentConfig, fold: int, fingerprint: str) -> str:
     config = config_to_dict(cfg)
     payload = json.dumps({
-        "cell": spec.to_dict(),
+        "cell": dataclasses.asdict(spec),
         "train": config["train"],
         "folds": config["folds"],
         "fold": fold,
@@ -125,12 +125,18 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
 
 def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
     """Raise ``ConfigError`` when the loaded cohort cannot serve the config:
-    too few cases for ``folds.count``, or a ``patch_depth`` deeper than the
-    shallowest volume."""
+    cases whose in-plane shape or channel count differ (only a ``volumes``
+    directory can hold such a cohort), too few cases for ``folds.count``,
+    or a ``patch_depth`` deeper than the shallowest volume."""
     try:
         check_fold_sizes(len(volumes), cfg.folds.count)
     except ValueError as e:
         raise ConfigError(f"'folds.count': {e}") from e
+    hwc = [(*v.image.shape[:2], v.image.shape[3]) for v in volumes]
+    for v, shape in zip(volumes, hwc):
+        if shape != hwc[0]:
+            raise ConfigError(f"'source.directory': case {v.patient_id!r} has (H, W, C) "
+                              f"{shape}, but case {volumes[0].patient_id!r} has {hwc[0]}")
     depth = min(v.labels.shape[2] for v in volumes)
     if "end2end_3d" in cfg.grid.modes and cfg.grid.patch_depth > depth:
         raise ConfigError(f"'grid.patch_depth': {cfg.grid.patch_depth} is deeper than "
@@ -161,7 +167,7 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
         name = cell_name(spec)
         cell_dir = os.path.join(out_dir, "cells", name)
         os.makedirs(cell_dir, exist_ok=True)
-        volio.write_json(os.path.join(cell_dir, "cell.json"), spec.to_dict())
+        volio.write_json(os.path.join(cell_dir, "cell.json"), dataclasses.asdict(spec))
         report = analysis.cost_report(assemble_model(spec, seed=0),
                                       volumes[0].image.shape[:2])
         static = COST_FIELDS[:3]  # a run times nothing, so only the counts
@@ -318,6 +324,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     presets = dataset_presets()
     if args.preset not in presets:
         raise ValueError(f"unknown preset {args.preset!r}"

@@ -76,9 +76,10 @@ class AugmentParams:
     elastic_sigma: float = 4.0
     elastic_alpha: float = 8.0
 
-    @classmethod
-    def identity(cls) -> "AugmentParams":
-        return cls(probability=0.0)
+    def __post_init__(self):
+        # a zero zoom makes the warp matrix singular
+        if min(self.zoom_range) <= 0:
+            raise ValueError(f"zoom_range values must be positive, got {self.zoom_range}")
 
 
 def _warp_plane(plane: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:

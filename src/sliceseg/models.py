@@ -9,7 +9,7 @@ The end-to-end modes run the backbone directly at rank 2 or rank 3.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class ModelSpec:
 
     def rank(self) -> int:
         return 3 if self.mode == "end2end_3d" else 2
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def he_uniform(rng: np.random.Generator, kernel: tuple[int, ...], cin: int, cout: int) -> np.ndarray:

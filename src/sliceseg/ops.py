@@ -136,18 +136,6 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     return _node(y, parents, f"conv{rank}d", bwd)
 
 
-@dataclass
-class IndexMap:
-    """Argmax positions recorded by max pooling, consumed by unpooling.
-
-    ``codes[n, *coarse, c]`` holds the row-major offset of the maximum
-    inside its pooling window.
-    """
-    codes: np.ndarray
-    rank: int
-    input_shape: tuple[int, ...]
-
-
 def _pool_windows(x: np.ndarray, rank: int) -> np.ndarray:
     """(N, *spatial, C) -> (N, *half_spatial, C, 2**rank) windowed view with
     window elements in row-major order."""
@@ -166,10 +154,12 @@ def _pool_windows(x: np.ndarray, rank: int) -> np.ndarray:
     return xr.reshape((n, *[s // 2 for s in spatial], c, 2 ** rank))
 
 
-def maxpool_with_indices(x: Tensor, rank: int) -> tuple[Tensor, IndexMap]:
+def maxpool_with_indices(x: Tensor, rank: int) -> tuple[Tensor, np.ndarray]:
     """Max pooling with window and stride 2 per spatial axis. Ties resolve
     to the first maximum in row-major window order. Returns the pooled
-    tensor and the argmax index map for later unpooling."""
+    tensor and its argmax codes for :func:`max_unpool`: an integer array
+    of the pooled shape whose entry ``codes[n, *coarse, c]`` is the
+    row-major offset of the maximum inside its pooling window."""
     if x.data.ndim != rank + 2:
         raise ValueError(f"maxpool rank {rank} expects {rank + 2}D input")
     spatial = x.data.shape[1:1 + rank]
@@ -179,18 +169,14 @@ def maxpool_with_indices(x: Tensor, rank: int) -> tuple[Tensor, IndexMap]:
     win = _pool_windows(x.data, rank)
     codes = win.argmax(axis=-1)
     pooled = np.take_along_axis(win, codes[..., None], axis=-1)[..., 0]
-    index_map = IndexMap(codes=codes, rank=rank, input_shape=x.data.shape)
     _record(f"maxpool{rank}d", 0, pooled.shape)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
         scattered = np.zeros(win.shape, dtype=np.float64)
         np.put_along_axis(scattered, codes[..., None], g[..., None], axis=-1)
         accumulate_grad(x, _unpool_scatter(scattered, x.data.shape, rank))
 
-    out = _node(pooled, (x,), f"maxpool{rank}d", bwd)
-    return out, index_map
+    return _node(pooled, (x,), f"maxpool{rank}d", bwd), codes
 
 
 def _unpool_scatter(win: np.ndarray, full_shape: tuple[int, ...], rank: int) -> np.ndarray:
@@ -212,25 +198,25 @@ def _unpool_scatter(win: np.ndarray, full_shape: tuple[int, ...], rank: int) -> 
     return win.transpose(interleaved).reshape(full_shape)
 
 
-def max_unpool(x: Tensor, index_map: IndexMap) -> Tensor:
-    """Scatter pooled activations back to their recorded argmax positions;
-    every other position is zero."""
-    rank = index_map.rank
-    expected = (index_map.input_shape[0], *[s // 2 for s in index_map.input_shape[1:1 + rank]],
-                index_map.input_shape[-1])
-    if x.data.shape != expected:
-        raise ValueError(f"unpool input shape {x.data.shape} does not match index map {expected}")
+def max_unpool(x: Tensor, codes: np.ndarray) -> Tensor:
+    """Scatter pooled activations back to the argmax positions in the
+    ``codes`` returned by :func:`maxpool_with_indices`; every other
+    position is zero. The spatial rank is ``codes.ndim - 2`` and the
+    output doubles each spatial extent of ``codes``, which is the pooled
+    input's shape because pooling requires even extents."""
+    if x.data.shape != codes.shape:
+        raise ValueError(f"unpool input shape {x.data.shape} does not match codes {codes.shape}")
+    rank = codes.ndim - 2
+    full_shape = (codes.shape[0], *[2 * s for s in codes.shape[1:1 + rank]], codes.shape[-1])
 
-    win = np.zeros(index_map.codes.shape + (2 ** rank,), dtype=np.float64)
-    np.put_along_axis(win, index_map.codes[..., None], x.data[..., None], axis=-1)
-    y = _unpool_scatter(win, index_map.input_shape, rank)
+    win = np.zeros(codes.shape + (2 ** rank,), dtype=np.float64)
+    np.put_along_axis(win, codes[..., None], x.data[..., None], axis=-1)
+    y = _unpool_scatter(win, full_shape, rank)
     _record(f"max_unpool{rank}d", 0, y.shape)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        gwin = _pool_windows(g, rank)
-        accumulate_grad(x, np.take_along_axis(gwin, index_map.codes[..., None], axis=-1)[..., 0])
+        accumulate_grad(x, np.take_along_axis(_pool_windows(g, rank), codes[..., None],
+                                              axis=-1)[..., 0])
 
     return _node(y, (x,), f"max_unpool{rank}d", bwd)
 
@@ -245,8 +231,6 @@ def upsample_nearest(x: Tensor, rank: int) -> Tensor:
     _record(f"upsample{rank}d", 0, y.shape)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
         accumulate_grad(x, _pool_windows(g, rank).sum(axis=-1))
 
     return _node(y, (x,), f"upsample{rank}d", bwd)

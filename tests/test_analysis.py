@@ -198,8 +198,8 @@ def test_flops_strictly_ordered_in_added_layers():
 
 def test_activation_memory_positive_and_monotone():
     model = small_model()
-    m1 = analysis.estimate_activation_memory(model, (16, 16))
-    m2 = analysis.estimate_activation_memory(model, (32, 32))
+    m1 = analysis.cost_report(model, (16, 16)).activation_memory_bytes
+    m2 = analysis.cost_report(model, (32, 32)).activation_memory_bytes
     assert 0 < m1 < m2
 
 
@@ -230,10 +230,8 @@ COST_GOLDEN = {
 def test_cost_report_matches_separate_counts_and_golden(mode, backbone, d):
     model = small_model(mode=mode, d=d, backbone=backbone)
     report = analysis.cost_report(model, (16, 16))
-    flops = analysis.count_flops(model, (16, 16))
-    memory = analysis.estimate_activation_memory(model, (16, 16))
-    assert (report.flop_count, report.activation_memory_bytes) == (flops, memory)
-    assert (flops, memory) == COST_GOLDEN[(mode, backbone, d)]
+    assert report.flop_count == analysis.count_flops(model, (16, 16))
+    assert (report.flop_count, report.activation_memory_bytes) == COST_GOLDEN[(mode, backbone, d)]
 
 
 def test_cost_report_with_timing():

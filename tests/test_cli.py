@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sliceseg
 from sliceseg import analysis, cli, volio
 from sliceseg.config import (NORMALIZATIONS, ConfigError, ExperimentConfig,
                              FoldConfig, GridConfig, SourceConfig,
@@ -122,6 +124,10 @@ MALFORMED = [
      "'folds.count': 4 patients are too few for 2 folds with non-empty train/val/test"),
     ("source.seed", -1, "'source.seed' must be non-negative, got -1"),
     ("folds.seed", -1, "'folds.seed' must be non-negative, got -1"),
+    ("train.augment.zoom_range", [0, 0],
+     "'train.augment': zoom_range values must be positive, got (0.0, 0.0)"),
+    ("train.augment.zoom_range", [-0.5, 1.1],
+     "'train.augment': zoom_range values must be positive, got (-0.5, 1.1)"),
 ]
 
 
@@ -147,6 +153,7 @@ def test_malformed_config_message(path, value, message):
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 _pairs = st.tuples(_finite, _finite)
+_positive_pairs = st.tuples(*[st.floats(0.0, 1e6, exclude_min=True)] * 2)
 
 
 @st.composite
@@ -163,7 +170,7 @@ def _train_configs(draw) -> TrainConfig:
         loss=draw(st.sampled_from(("combined", "dice"))),
         augment=draw(st.builds(AugmentParams, probability=_finite,
                                enable_flip=st.booleans(), rotation_degrees=_pairs,
-                               shear_range=_pairs, zoom_range=_pairs,
+                               shear_range=_pairs, zoom_range=_positive_pairs,
                                elastic_sigma=_finite, elastic_alpha=_finite)))
 
 
@@ -456,6 +463,22 @@ def test_patch_depth_deeper_than_volumes_exits_before_any_cell(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "profile"])
+@pytest.mark.parametrize("differs,hwc", [("in_plane", (24, 32, 1)), ("channels", (32, 32, 2))])
+def test_mixed_cohort_shapes_exit_before_any_cell(tmp_path, capsys, verb, differs, hwc):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    odd = volumes[3]
+    if differs == "in_plane":
+        volumes[3] = dataclasses.replace(odd, image=odd.image[:24], labels=odd.labels[:24])
+    else:
+        volumes[3] = dataclasses.replace(odd, image=np.concatenate([odd.image] * 2, axis=3))
+    assert cli.main([verb, _volumes_config(tmp_path, volumes)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: 'source.directory': case 'p003' has (H, W, C) {hwc},"
+        " but case 'p000' has (32, 32, 1)\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_profile_names_patch_depth_deeper_than_volumes(tmp_path, capsys):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -530,6 +553,18 @@ def test_generate_writes_loadable_cases(tmp_path, capsys):
     assert volume.image.shape == (32, 32, 16, 4)
 
 
+@pytest.mark.parametrize("args,message", [
+    (["-2"], "count must be at least 1, got -2"),
+    (["0"], "count must be at least 1, got 0"),
+    (["1", "--seed", "-1"], "--seed must be non-negative, got -1"),
+], ids=["count_negative", "count_zero", "seed_negative"])
+def test_generate_names_a_bad_argument(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert cli.main(["generate", "organ_and_lesion", args[0], str(out), *args[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_unknown_preset(tmp_path, capsys):
     assert cli.main(["generate", "nonesuch", "1", str(tmp_path)]) == 1
     assert "available:" in capsys.readouterr().err
@@ -568,3 +603,13 @@ def test_profile_csv_shape(grid_run, tmp_path):
         fields = line.split(",")
         assert int(fields[3]) > 0 and int(fields[4]) > 0 and int(fields[5]) > 0
         assert float(fields[6]) > 0 and float(fields[7]) > 0
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_all_lists_every_public_name():
+    bound = {name for name, value in vars(sliceseg).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(sliceseg.__all__) == sorted(bound)

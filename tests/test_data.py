@@ -105,12 +105,6 @@ def test_augment_zero_probability_is_identity():
     assert np.array_equal(out.target, s.target)
 
 
-def test_augment_identity_params_identity():
-    s = sample_for_augment()
-    out = augment(s, AugmentParams.identity(), np.random.default_rng(1))
-    assert np.array_equal(out.stack, s.stack)
-
-
 def test_augment_pure_flip_is_exact_reversal():
     s = sample_for_augment(seed=4)
     params = AugmentParams(probability=1.0, enable_flip=True,

@@ -1,5 +1,6 @@
 """Architecture contracts: parameter counts, shape cascades, mode wiring."""
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_spec_validation_rules():
 
 def test_spec_roundtrip():
     s = spec(mode="channel_based", d=7)
-    assert ModelSpec(**s.to_dict()) == s
+    assert ModelSpec(**asdict(s)) == s
 
 
 def test_spec_rank():

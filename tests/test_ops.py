@@ -180,6 +180,13 @@ def test_maxpool_rejects_odd_extent():
 def test_maxpool3d_shape():
     y, idx = ops.maxpool_with_indices(rand((2, 4, 6, 8, 3), seed=15), rank=3)
     assert y.data.shape == (2, 2, 3, 4, 3)
+    assert ops.max_unpool(y, idx).data.shape == (2, 4, 6, 8, 3)
+
+
+def test_unpool_rejects_codes_of_another_shape():
+    y, idx = ops.maxpool_with_indices(rand((1, 4, 4, 2), seed=18), rank=2)
+    with pytest.raises(ValueError, match="does not match codes"):
+        ops.max_unpool(y, idx[..., :1])
 
 
 def test_maxpool_gradient_routes_to_argmax():
