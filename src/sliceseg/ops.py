@@ -8,10 +8,21 @@ unpadded input: backward re-pads it and regathers its windows for the
 weight gradient rather than keeping the padded copy or the column matrix
 alive, and gets the input gradient as a correlation of the output
 gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
+
+Column matrices are built in blocks of at most ``_COLUMN_BUDGET`` bytes,
+unless one output plane or one kernel offset alone is larger. The
+forward and the input gradient split the output rows along the first
+spatial output axis into balanced spans and multiply each span's columns
+on its own; every output row is the same dot product as in one whole
+product, so the bits do not change. The weight gradient sums over every
+output row, so splitting the rows would change its summation order; it
+splits the kernel offsets into column groups instead, each of which
+gives its own rows of the weight gradient.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass
 
@@ -19,6 +30,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, _node, accumulate_grad
+
+# Byte budget for one block of columns. It is glibc's largest dynamic mmap
+# threshold on 64-bit, so freed blocks can stay on the heap and be reused
+# instead of being mapped and faulted in afresh on every conv.
+_COLUMN_BUDGET = 32 * 2**20
 
 # Optional cost trace, the one record of what a forward pass did: while a
 # trace list is installed, each structured op appends its kind, MACs and
@@ -61,7 +77,13 @@ def _spatial_rank(w: Tensor) -> int:
 
 def _im2col(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     """Gather sliding windows of ``kernel`` over the spatial axes of a
-    padded (N, *spatial, C) array into (N * prod(out), prod(kernel) * C)."""
+    padded (N, *spatial, C) array into (N * prod(out), prod(kernel) * C).
+
+    Rows run over (n, *out) and columns over (*kernel offset, c), both
+    row-major. A slab ``xp[:, a:b + k0 - 1]`` gives the rows of output
+    planes ``a:b`` (with all N interleaved, see :func:`_im2col_matmul`),
+    and windows of a sub-kernel over a slab give a contiguous group of
+    columns (see :func:`_weight_grad`)."""
     rank = len(kernel)
     axes = tuple(range(1, 1 + rank))
     win = sliding_window_view(xp, kernel, axis=axes)
@@ -71,7 +93,69 @@ def _im2col(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     n = xp.shape[0]
     out_spatial = win.shape[1:1 + rank]
     return np.ascontiguousarray(win).reshape(
-        n * int(np.prod(out_spatial)), int(np.prod(kernel)) * xp.shape[-1])
+        n * math.prod(out_spatial), math.prod(kernel) * xp.shape[-1])
+
+
+def _spans(extent: int, unit_bytes: int) -> list[tuple[int, int]]:
+    """Split ``range(extent)`` into as few balanced spans as keep
+    ``span length * unit_bytes`` within the column budget (one unit per
+    span at least). Balanced spans leave no tiny tail block, which BLAS
+    may route through a small-matrix or gemv path with other rounding.
+    The longer spans come first, so each later block fits in the heap
+    space an earlier one freed."""
+    count = -(-extent // max(1, _COLUMN_BUDGET // unit_bytes))
+    q, r = divmod(extent, count)
+    bounds = [i * q + min(i, r) for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _im2col_matmul(xp: np.ndarray, kernel: tuple[int, ...], out_spatial: tuple[int, ...],
+                   wmat: np.ndarray) -> np.ndarray:
+    """``_im2col(xp, kernel) @ wmat`` as an (N, *out_spatial, cols) array,
+    building the columns in spans of the first output axis. Callers pass
+    ``xp`` as a temporary, so a single block frees it before the product."""
+    n, cols = xp.shape[0], wmat.shape[1]
+    plane_bytes = n * math.prod(out_spatial[1:]) * wmat.shape[0] * xp.itemsize
+    if out_spatial[0] * plane_bytes <= _COLUMN_BUDGET:
+        block = _im2col(xp, kernel)
+        del xp
+        return (block @ wmat).reshape((n, *out_spatial, cols))
+    y = np.empty((n, *out_spatial, cols))
+    for a, b in _spans(out_spatial[0], plane_bytes):
+        block = _im2col(xp[:, a:b + kernel[0] - 1], kernel)
+        y[:, a:b] = (block @ wmat).reshape((n, b - a, *out_spatial[1:], cols))
+    return y
+
+
+def _weight_grad(xp: np.ndarray, kernel: tuple[int, ...], out_spatial: tuple[int, ...],
+                 gmat: np.ndarray) -> np.ndarray:
+    """``_im2col(xp, kernel).T @ gmat``, building the columns in groups of
+    kernel offsets: a fixed index on the leading kernel axes and a span of
+    the next one, which is a contiguous block of columns and gives the same
+    rows of the product, summed over the output rows in the same order.
+    Like :func:`_im2col_matmul`, a single block frees ``xp`` before the
+    product."""
+    rank, c = len(kernel), xp.shape[-1]
+    offset_bytes = gmat.shape[0] * c * xp.itemsize
+    if math.prod(kernel) * offset_bytes <= _COLUMN_BUDGET:
+        block = _im2col(xp, kernel)
+        del xp
+        return block.T @ gmat
+    # the leading axis whose spans, with every offset of the axes after it,
+    # fit the budget (the last axis if even one offset does not)
+    axis = next(i for i in range(rank)
+                if i == rank - 1 or math.prod(kernel[i + 1:]) * offset_bytes <= _COLUMN_BUDGET)
+    inner = math.prod(kernel[axis + 1:])
+    spans = _spans(kernel[axis], inner * offset_bytes)
+    dw = np.empty((math.prod(kernel) * c, gmat.shape[1]))
+    for lead in np.ndindex(*kernel[:axis]):
+        window = tuple(slice(k, k + o) for k, o in zip(lead, out_spatial))
+        for a, b in spans:
+            block = _im2col(xp[(slice(None), *window, slice(a, b + out_spatial[axis] - 1))],
+                            (1,) * axis + (b - a,) + kernel[axis + 1:])
+            lo = np.ravel_multi_index((*lead, a), kernel[:axis + 1]) * inner * c
+            dw[lo:lo + block.shape[1]] = block.T @ gmat
+    return dw
 
 
 def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
@@ -102,35 +186,34 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
             f"conv output extent is non-positive: input {x.data.shape[1:1 + rank]}, "
             f"kernel {kernel}, padded {padded_axes}")
 
+    if b is not None and b.data.shape != (cout,):
+        raise ValueError(f"bias shape {b.data.shape} does not match {cout} filters")
+
     pad_spec = ((0, 0),) + tuple((p, p) for p in pads) + ((0, 0),)
 
-    def columns():
-        xp = np.pad(x.data, pad_spec) if any(pads) else x.data
-        return _im2col(xp, kernel)
+    def padded_input():
+        return np.pad(x.data, pad_spec) if any(pads) else x.data
 
-    y = columns() @ w.data.reshape(-1, cout)
+    y = _im2col_matmul(padded_input(), kernel, out_spatial, w.data.reshape(-1, cout))
     if b is not None:
-        if b.data.shape != (cout,):
-            raise ValueError(f"bias shape {b.data.shape} does not match {cout} filters")
         y += b.data
     n = x.data.shape[0]
-    y = y.reshape((n, *out_spatial, cout))
     _record(f"conv{rank}d", np.prod(out_spatial) * n * int(np.prod(kernel)) * cin * cout,
             y.shape)
 
     def bwd(g):
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
-            accumulate_grad(w, (columns().T @ gmat).reshape(w.data.shape))
+            accumulate_grad(w, _weight_grad(padded_input(), kernel, out_spatial, gmat)
+                            .reshape(w.data.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, gmat.sum(axis=0))
         if x.requires_grad:
             # k-1-p padding makes the correlation come out at x's shape
-            gp = np.pad(g, ((0, 0),) + tuple((k - 1 - p,) * 2 for k, p in zip(kernel, pads))
-                        + ((0, 0),))
+            gpad = ((0, 0),) + tuple((k - 1 - p,) * 2 for k, p in zip(kernel, pads)) + ((0, 0),)
             wflip = np.flip(w.data, tuple(range(rank))).swapaxes(rank, rank + 1)
-            accumulate_grad(x, (_im2col(gp, kernel) @ wflip.reshape(-1, cin))
-                            .reshape(x.data.shape))
+            accumulate_grad(x, _im2col_matmul(np.pad(g, gpad), kernel, x.data.shape[1:1 + rank],
+                                              wflip.reshape(-1, cin)))
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(y, parents, f"conv{rank}d", bwd)

@@ -274,6 +274,8 @@ def predict_volume(model: SegmentationModel, volume: LabeledVolume,
     mode tiles the depth axis (final tile right-aligned, overlap voxels
     taken from the later tile).
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     depth = volume.labels.shape[2]
     d = model.spec.d
     pred = np.zeros(volume.labels.shape, dtype=np.int64)

@@ -60,6 +60,16 @@ def test_conv_rejects_empty_valid_extent():
         ops.conv_forward(x, w, None, (True, True, False))
 
 
+def test_conv_rejects_bias_shape_before_any_work(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("columns built before the bias was checked")
+
+    monkeypatch.setattr(ops, "_im2col", no_columns)
+    with pytest.raises(ValueError, match=r"bias shape \(3,\) does not match 2 filters"):
+        ops.conv_forward(rand((1, 4, 4, 1)), rand((3, 3, 1, 2)), Tensor(np.zeros(3)),
+                         (True, True))
+
+
 def test_conv_bias_none_supported():
     x = rand((1, 4, 4, 1), seed=5)
     w = rand((3, 3, 1, 2), seed=6)
@@ -145,6 +155,90 @@ def test_conv_input_grad_matches_scatter_reference(case):
     backward(sum_all(mul(y, Tensor(g))))
     want = _scatter_input_grad(x.data, w.data, g, padded)
     np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _monolithic_conv(x, w, b, g, padded_axes):
+    """Oracle for ``conv_forward`` on whole column matrices: output, and the
+    x, w and b gradients for output gradient ``g``."""
+    rank = w.ndim - 2
+    kernel, cin, cout = w.shape[:rank], w.shape[rank], w.shape[rank + 1]
+    pads = tuple(k // 2 if p else 0 for k, p in zip(kernel, padded_axes))
+    cols = ops._im2col(np.pad(x, ((0, 0), *((p, p) for p in pads), (0, 0))), kernel)
+    y = cols @ w.reshape(-1, cout)
+    y += b
+    gmat = g.reshape(-1, cout)
+    gw = (cols.T @ gmat).reshape(w.shape)
+    del cols
+    gp = np.pad(g, ((0, 0), *((k - 1 - p,) * 2 for k, p in zip(kernel, pads)), (0, 0)))
+    wflip = np.flip(w, tuple(range(rank))).swapaxes(rank, rank + 1)
+    gx = (ops._im2col(gp, kernel) @ wflip.reshape(-1, cin)).reshape(x.shape)
+    return y.reshape(g.shape), gx, gw, gmat.sum(axis=0)
+
+
+# the two conv shapes of the benchmark workloads whose columns exceed the budget
+BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
+                 ((8, 32, 32, 7, 16), 16, (True, True, False))]
+
+
+@pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
+def test_blocked_conv_equals_monolithic_columns(x_shape, cout, padded):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 3, x_shape[-1], cout)), requires_grad=True)
+    b = Tensor(rng.normal(size=cout), requires_grad=True)
+    y = ops.conv_forward(x, w, b, padded)
+    g = rng.normal(size=y.data.shape)
+    backward(sum_all(mul(y, Tensor(g))))
+    want_y, want_gx, want_gw, want_gb = _monolithic_conv(x.data, w.data, b.data, g, padded)
+    np.testing.assert_array_equal(y.data, want_y)
+    np.testing.assert_array_equal(x.grad, want_gx)
+    np.testing.assert_array_equal(w.grad, want_gw)
+    np.testing.assert_array_equal(b.grad, want_gb)
+
+
+@pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
+def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shape, cout,
+                                                             padded):
+    built = []
+    real_im2col = ops._im2col
+
+    def spy(xp, kernel):
+        cols = real_im2col(xp, kernel)
+        built.append(cols.nbytes)
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", spy)
+    x = rand(x_shape, seed=1)
+    x.requires_grad = True
+    w = rand((3, 3, 3, x_shape[-1], cout), seed=2)
+    w.requires_grad = True
+    y = ops.conv_forward(x, w, None, padded)
+    backward(sum_all(y))
+    whole = np.prod(y.data.shape[:-1]) * 27 * x_shape[-1] * 8
+    assert whole > 4 * ops._COLUMN_BUDGET  # forward and weight gradient must split
+    assert len(built) > 8
+    assert max(built) <= ops._COLUMN_BUDGET
+
+
+@settings(deadline=None, max_examples=60)
+@given(_conv_cases(), st.integers(8, 2**16))
+def test_conv_columns_in_blocks_of_any_budget_match_monolithic(case, budget):
+    # tiny budgets exercise every split: spans of the first output axis,
+    # and weight-gradient groups on each kernel axis down to single offsets;
+    # blocks this small may take another BLAS path, so equality is to rounding
+    padded, x_shape, w_shape, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=w_shape[-1]), requires_grad=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_COLUMN_BUDGET", budget)
+        y = ops.conv_forward(x, w, b, padded)
+        g = rng.normal(size=y.data.shape)
+        backward(sum_all(mul(y, Tensor(g))))
+    for got, want in zip((y.data, x.grad, w.grad, b.grad),
+                         _monolithic_conv(x.data, w.data, b.data, g, padded)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

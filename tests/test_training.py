@@ -266,6 +266,18 @@ def test_predict_volume_proposed_matches_per_stack_forward(backbone, d):
     check_predict_volume_matches_per_stack_forward("proposed", backbone, d)
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_predict_volume_rejects_batch_size_below_one(batch_size):
+    volume = tiny_cohort(1, seed=11, shape=(16, 16, 16))[0]
+    model = assemble_model(ModelSpec(mode="proposed", backbone="unet", d=3, in_channels=1,
+                                     num_classes=3, base_filters=4), seed=0)
+    message = f"batch_size must be at least 1, got {batch_size}"
+    with pytest.raises(ValueError, match=message):
+        predict_volume(model, volume, batch_size)
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, [volume], batch_size=batch_size)
+
+
 def test_run_training_stops_on_non_finite_train_loss():
     vols = tiny_cohort(3, seed=7)
     spec = ModelSpec(mode="proposed", backbone="unet", d=3, in_channels=1,
