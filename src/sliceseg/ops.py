@@ -9,15 +9,16 @@ weight gradient rather than keeping the padded copy or the column matrix
 alive, and gets the input gradient as a correlation of the output
 gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
 
-Column matrices are built in blocks of at most ``_COLUMN_BUDGET`` bytes,
-unless one output plane or one kernel offset alone is larger. The
-forward and the input gradient split the output rows along the first
-spatial output axis into balanced spans and multiply each span's columns
-on its own; every output row is the same dot product as in one whole
-product, so the bits do not change. The weight gradient sums over every
-output row, so splitting the rows would change its summation order; it
-splits the kernel offsets into column groups instead, each of which
-gives its own rows of the weight gradient.
+Column matrices are built in blocks of at most ``_COLUMN_BUDGET`` bytes.
+The forward and the input gradient split the output rows, all N in every
+block: fixed indices on the leading spatial output axes and balanced spans
+of the next one, the first whose inner extent fits. Every output row is the
+same dot product as in one whole product, so the bits do not change. The
+weight gradient sums over every output row, so splitting the rows would
+change its summation order; it splits the columns instead, over the axes
+(*kernel, channel) in the same way, and each group gives its own rows of
+the weight gradient. Windows are gathered through one strided view of the
+padded input, and padding is a zeroed array with the input written inside.
 """
 from __future__ import annotations
 
@@ -27,14 +28,15 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import Tensor, _node, accumulate_grad
 
-# Byte budget for one block of columns. It is glibc's largest dynamic mmap
-# threshold on 64-bit, so freed blocks can stay on the heap and be reused
-# instead of being mapped and faulted in afresh on every conv.
-_COLUMN_BUDGET = 32 * 2**20
+# Byte budget for one block of columns. On a 2-vCPU Xeon (OpenBLAS 0.3.31,
+# one thread) predict_volume ran about 30% faster with 4 MiB blocks than with
+# 8 or 32 MiB ones, at the same bits. At 2 MiB the narrow products of the
+# 4-channel convs already round differently: do not go lower without a bit check.
+_COLUMN_BUDGET = 4 * 2**20
 
 # Optional cost trace, the one record of what a forward pass did: while a
 # trace list is installed, each structured op appends its kind, MACs and
@@ -75,86 +77,102 @@ def _spatial_rank(w: Tensor) -> int:
     raise ValueError(f"kernel must have 4 or 5 axes, got shape {w.data.shape}")
 
 
+def _pad(x: np.ndarray, pads: tuple[int, ...]) -> np.ndarray:
+    """``x`` (N, *spatial, C) zero padded by ``pads[i]`` on both sides of
+    each spatial axis; ``x`` itself when every pad is zero."""
+    if not any(pads):
+        return x
+    xp = np.zeros((x.shape[0], *(s + 2 * p for s, p in zip(x.shape[1:-1], pads)), x.shape[-1]),
+                  dtype=x.dtype)
+    xp[(slice(None), *(slice(p, p + s) for s, p in zip(x.shape[1:-1], pads)))] = x
+    return xp
+
+
 def _im2col(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     """Gather sliding windows of ``kernel`` over the spatial axes of a
     padded (N, *spatial, C) array into (N * prod(out), prod(kernel) * C).
 
     Rows run over (n, *out) and columns over (*kernel offset, c), both
-    row-major. A slab ``xp[:, a:b + k0 - 1]`` gives the rows of output
-    planes ``a:b`` (with all N interleaved, see :func:`_im2col_matmul`),
-    and windows of a sub-kernel over a slab give a contiguous group of
-    columns (see :func:`_weight_grad`)."""
+    row-major. A slab ``xp[:, *window, a:b + k - 1]`` gives the rows of one
+    block of :func:`_im2col_matmul`, and windows of a sub-kernel over a slab
+    give a contiguous group of columns (see :func:`_weight_grad`)."""
     rank = len(kernel)
-    axes = tuple(range(1, 1 + rank))
-    win = sliding_window_view(xp, kernel, axis=axes)
-    # win: (N, *out_spatial, C, *kernel) -> (N, *out_spatial, *kernel, C)
-    perm = (0, *range(1, 1 + rank), *range(2 + rank, 2 + 2 * rank), 1 + rank)
-    win = win.transpose(perm)
-    n = xp.shape[0]
-    out_spatial = win.shape[1:1 + rank]
-    return np.ascontiguousarray(win).reshape(
-        n * math.prod(out_spatial), math.prod(kernel) * xp.shape[-1])
+    spatial, strides = xp.shape[1:1 + rank], xp.strides[1:1 + rank]
+    out = tuple(s - k + 1 for s, k in zip(spatial, kernel))
+    if min(out) < 1:
+        # as_strided would read out of bounds without an error
+        raise ValueError(f"window {kernel} is larger than input {xp.shape}")
+    win = as_strided(xp, (xp.shape[0], *out, *kernel, xp.shape[-1]),
+                     (xp.strides[0], *strides, *strides, xp.strides[-1]), writeable=False)
+    return win.reshape(xp.shape[0] * math.prod(out), math.prod(kernel) * xp.shape[-1])
 
 
-def _spans(extent: int, unit_bytes: int) -> list[tuple[int, int]]:
-    """Split ``range(extent)`` into as few balanced spans as keep
-    ``span length * unit_bytes`` within the column budget (one unit per
-    span at least). Balanced spans leave no tiny tail block, which BLAS
-    may route through a small-matrix or gemv path with other rounding.
-    The longer spans come first, so each later block fits in the heap
-    space an earlier one freed."""
-    count = -(-extent // max(1, _COLUMN_BUDGET // unit_bytes))
-    q, r = divmod(extent, count)
+def _lead_axis(extents: tuple[int, ...], unit_bytes: int) -> tuple[int, list[tuple[int, int]]]:
+    """The leading axis of a block grid over ``extents`` at ``unit_bytes``
+    per element: the first whose one index, with all of the axes after it,
+    fits the column budget (else the last), and as few balanced spans of it
+    as fit. Blocks fix the axes before it. Balanced spans leave no tiny tail
+    block, which BLAS may route through a small-matrix or gemv path with
+    other rounding; longer spans come first, so each later block fits in
+    the heap space an earlier one freed."""
+    axis = next((i for i in range(len(extents) - 1)
+                 if math.prod(extents[i + 1:]) * unit_bytes <= _COLUMN_BUDGET), len(extents) - 1)
+    span_bytes = math.prod(extents[axis + 1:]) * unit_bytes
+    count = -(-extents[axis] // max(1, _COLUMN_BUDGET // span_bytes))
+    q, r = divmod(extents[axis], count)
     bounds = [i * q + min(i, r) for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return axis, list(zip(bounds[:-1], bounds[1:]))
 
 
 def _im2col_matmul(xp: np.ndarray, kernel: tuple[int, ...], out_spatial: tuple[int, ...],
                    wmat: np.ndarray) -> np.ndarray:
     """``_im2col(xp, kernel) @ wmat`` as an (N, *out_spatial, cols) array,
-    building the columns in spans of the first output axis. Callers pass
-    ``xp`` as a temporary, so a single block frees it before the product."""
+    building the columns in blocks of output rows with all N interleaved:
+    fixed indices on the leading output axes and a span of the next one.
+    Callers pass ``xp`` as a temporary, so a single block frees it before
+    the product."""
     n, cols = xp.shape[0], wmat.shape[1]
-    plane_bytes = n * math.prod(out_spatial[1:]) * wmat.shape[0] * xp.itemsize
-    if out_spatial[0] * plane_bytes <= _COLUMN_BUDGET:
+    row_bytes = n * wmat.shape[0] * xp.itemsize
+    if math.prod(out_spatial) * row_bytes <= _COLUMN_BUDGET:
         block = _im2col(xp, kernel)
         del xp
         return (block @ wmat).reshape((n, *out_spatial, cols))
+    axis, spans = _lead_axis(out_spatial, row_bytes)
     y = np.empty((n, *out_spatial, cols))
-    for a, b in _spans(out_spatial[0], plane_bytes):
-        block = _im2col(xp[:, a:b + kernel[0] - 1], kernel)
-        y[:, a:b] = (block @ wmat).reshape((n, b - a, *out_spatial[1:], cols))
+    for lead in np.ndindex(*out_spatial[:axis]):
+        window = tuple(slice(i, i + k) for i, k in zip(lead, kernel))
+        for a, b in spans:
+            block = _im2col(xp[(slice(None), *window, slice(a, b + kernel[axis] - 1))], kernel)
+            dst = y[(slice(None), *lead, slice(a, b))]
+            dst[...] = (block @ wmat).reshape(dst.shape)
     return y
 
 
 def _weight_grad(xp: np.ndarray, kernel: tuple[int, ...], out_spatial: tuple[int, ...],
                  gmat: np.ndarray) -> np.ndarray:
-    """``_im2col(xp, kernel).T @ gmat``, building the columns in groups of
-    kernel offsets: a fixed index on the leading kernel axes and a span of
-    the next one, which is a contiguous block of columns and gives the same
-    rows of the product, summed over the output rows in the same order.
-    Like :func:`_im2col_matmul`, a single block frees ``xp`` before the
-    product."""
-    rank, c = len(kernel), xp.shape[-1]
-    offset_bytes = gmat.shape[0] * c * xp.itemsize
-    if math.prod(kernel) * offset_bytes <= _COLUMN_BUDGET:
+    """``_im2col(xp, kernel).T @ gmat``, building the columns in groups over
+    the column axes (*kernel, c): fixed indices on the leading ones and a
+    span of the next one, which is a contiguous block of columns and gives
+    the same rows of the product, summed over the output rows in the same
+    order. Like :func:`_im2col_matmul`, a single block frees ``xp`` before
+    the product."""
+    rank, extents = len(kernel), (*kernel, xp.shape[-1])
+    unit_bytes = gmat.shape[0] * xp.itemsize
+    if math.prod(extents) * unit_bytes <= _COLUMN_BUDGET:
         block = _im2col(xp, kernel)
         del xp
         return block.T @ gmat
-    # the leading axis whose spans, with every offset of the axes after it,
-    # fit the budget (the last axis if even one offset does not)
-    axis = next(i for i in range(rank)
-                if i == rank - 1 or math.prod(kernel[i + 1:]) * offset_bytes <= _COLUMN_BUDGET)
-    inner = math.prod(kernel[axis + 1:])
-    spans = _spans(kernel[axis], inner * offset_bytes)
-    dw = np.empty((math.prod(kernel) * c, gmat.shape[1]))
-    for lead in np.ndindex(*kernel[:axis]):
+    axis, spans = _lead_axis(extents, unit_bytes)
+    # a span of a kernel axis slides over that output axis; a channel span does not
+    reach = (*out_spatial, 1)[axis] - 1
+    dw = np.empty((*extents, gmat.shape[1]))
+    for lead in np.ndindex(*extents[:axis]):
         window = tuple(slice(k, k + o) for k, o in zip(lead, out_spatial))
         for a, b in spans:
-            block = _im2col(xp[(slice(None), *window, slice(a, b + out_spatial[axis] - 1))],
-                            (1,) * axis + (b - a,) + kernel[axis + 1:])
-            lo = np.ravel_multi_index((*lead, a), kernel[:axis + 1]) * inner * c
-            dw[lo:lo + block.shape[1]] = block.T @ gmat
+            block = _im2col(xp[(slice(None), *window, slice(a, b + reach))],
+                            ((1,) * axis + (b - a,) + kernel[axis + 1:])[:rank])
+            dst = dw[(*lead, slice(a, b))]
+            dst[...] = (block.T @ gmat).reshape(dst.shape)
     return dw
 
 
@@ -189,30 +207,24 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"bias shape {b.data.shape} does not match {cout} filters")
 
-    pad_spec = ((0, 0),) + tuple((p, p) for p in pads) + ((0, 0),)
-
-    def padded_input():
-        return np.pad(x.data, pad_spec) if any(pads) else x.data
-
-    y = _im2col_matmul(padded_input(), kernel, out_spatial, w.data.reshape(-1, cout))
+    y = _im2col_matmul(_pad(x.data, pads), kernel, out_spatial, w.data.reshape(-1, cout))
     if b is not None:
         y += b.data
     n = x.data.shape[0]
-    _record(f"conv{rank}d", np.prod(out_spatial) * n * int(np.prod(kernel)) * cin * cout,
-            y.shape)
+    _record(f"conv{rank}d", math.prod(out_spatial) * n * math.prod(kernel) * cin * cout, y.shape)
 
     def bwd(g):
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
-            accumulate_grad(w, _weight_grad(padded_input(), kernel, out_spatial, gmat)
+            accumulate_grad(w, _weight_grad(_pad(x.data, pads), kernel, out_spatial, gmat)
                             .reshape(w.data.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, gmat.sum(axis=0))
         if x.requires_grad:
             # k-1-p padding makes the correlation come out at x's shape
-            gpad = ((0, 0),) + tuple((k - 1 - p,) * 2 for k, p in zip(kernel, pads)) + ((0, 0),)
+            gpads = tuple(k - 1 - p for k, p in zip(kernel, pads))
             wflip = np.flip(w.data, tuple(range(rank))).swapaxes(rank, rank + 1)
-            accumulate_grad(x, _im2col_matmul(np.pad(g, gpad), kernel, x.data.shape[1:1 + rank],
+            accumulate_grad(x, _im2col_matmul(_pad(g, gpads), kernel, x.data.shape[1:1 + rank],
                                               wflip.reshape(-1, cin)))
 
     parents = (x, w) if b is None else (x, w, b)
@@ -345,7 +357,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("batch norm scale/offset must have one value per channel")
     axes = tuple(range(x.data.ndim - 1))
-    m = int(np.prod([x.data.shape[a] for a in axes]))
+    m = math.prod(x.data.shape[:-1])
     if m == 0:
         raise ValueError("batch norm requires a non-empty batch")
 

@@ -1,8 +1,15 @@
 """Neural network building blocks: values, shapes, and gradients."""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sliceseg import ops
 from sliceseg.autodiff import Tensor, backward, mean_all, mul, sum_all
@@ -157,13 +164,59 @@ def test_conv_input_grad_matches_scatter_reference(case):
     np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def _columns(xp, kernel):
+    """Reference column matrix, built independently of ``ops._im2col``:
+    a sliding-window view moved to (N, *out, *kernel, C) and copied."""
+    rank = len(kernel)
+    win = sliding_window_view(xp, kernel, axis=tuple(range(1, 1 + rank)))
+    win = win.transpose(0, *range(1, 1 + rank), *range(2 + rank, 2 + 2 * rank), 1 + rank)
+    return np.ascontiguousarray(win).reshape(math.prod(win.shape[:1 + rank]), -1)
+
+
+@st.composite
+def _window_cases(draw):
+    # a slice of a larger array on every axis, like the slabs the blockers pass
+    rank = draw(st.sampled_from((2, 3)))
+    kernel = tuple(draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank)))
+    shape = (draw(st.integers(1, 3)), *(k + draw(st.integers(0, 3)) for k in kernel),
+             draw(st.integers(1, 4)))
+    starts = tuple(0 if i == 0 else draw(st.integers(0, 2)) for i in range(len(shape)))
+    return shape, starts, kernel, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_window_cases())
+def test_im2col_equals_sliding_window_columns(case):
+    shape, starts, kernel, seed = case
+    base = np.random.default_rng(seed).normal(size=tuple(s + 2 * o for s, o in zip(shape, starts)))
+    xp = base[tuple(slice(o, o + s) for s, o in zip(shape, starts))]
+    np.testing.assert_array_equal(ops._im2col(xp, kernel), _columns(xp, kernel))
+
+
+def test_im2col_rejects_window_larger_than_input():
+    with pytest.raises(ValueError, match=r"window \(3, 3\) is larger than input \(1, 2, 4, 1\)"):
+        ops._im2col(np.zeros((1, 2, 4, 1)), (3, 3))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 4), min_size=4, max_size=5),
+       st.lists(st.integers(0, 2), min_size=3, max_size=3))
+@example([2, 3, 4, 2], [0, 0, 0])
+@example([1, 2, 3, 4, 2], [0, 0, 0])
+def test_pad_equals_np_pad(shape, pads):
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    pads = tuple(pads[:len(shape) - 2])
+    np.testing.assert_array_equal(ops._pad(x, pads),
+                                  np.pad(x, ((0, 0), *((p, p) for p in pads), (0, 0))))
+
+
 def _monolithic_conv(x, w, b, g, padded_axes):
     """Oracle for ``conv_forward`` on whole column matrices: output, and the
     x, w and b gradients for output gradient ``g``."""
     rank = w.ndim - 2
     kernel, cin, cout = w.shape[:rank], w.shape[rank], w.shape[rank + 1]
     pads = tuple(k // 2 if p else 0 for k, p in zip(kernel, padded_axes))
-    cols = ops._im2col(np.pad(x, ((0, 0), *((p, p) for p in pads), (0, 0))), kernel)
+    cols = _columns(np.pad(x, ((0, 0), *((p, p) for p in pads), (0, 0))), kernel)
     y = cols @ w.reshape(-1, cout)
     y += b
     gmat = g.reshape(-1, cout)
@@ -171,20 +224,27 @@ def _monolithic_conv(x, w, b, g, padded_axes):
     del cols
     gp = np.pad(g, ((0, 0), *((k - 1 - p,) * 2 for k, p in zip(kernel, pads)), (0, 0)))
     wflip = np.flip(w, tuple(range(rank))).swapaxes(rank, rank + 1)
-    gx = (ops._im2col(gp, kernel) @ wflip.reshape(-1, cin)).reshape(x.shape)
+    gx = (_columns(gp, kernel) @ wflip.reshape(-1, cin)).reshape(x.shape)
     return y.reshape(g.shape), gx, gw, gmat.sum(axis=0)
 
 
-# the two conv shapes of the benchmark workloads whose columns exceed the budget
+# conv shapes of the workloads whose columns exceed the budget: the 3D and
+# transition convs of train_step and predict_volume, a 2D decoder conv at
+# f=16 and one at grid_run's f=4; the two 3D convs with 16 and 48 input
+# channels take sub-plane forward blocks and channel-span weight-gradient blocks
 BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
-                 ((8, 32, 32, 7, 16), 16, (True, True, False))]
+                 ((8, 32, 32, 7, 16), 16, (True, True, False)),
+                 ((8, 32, 32, 7, 1), 16, (True, True, False)),
+                 ((1, 32, 32, 20, 4), 16, (True, True, False)),
+                 ((8, 32, 32, 48), 16, (True, True)),
+                 ((8, 32, 32, 12), 4, (True, True))]
 
 
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
 def test_blocked_conv_equals_monolithic_columns(x_shape, cout, padded):
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=x_shape), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 3, x_shape[-1], cout)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3,) * len(padded) + (x_shape[-1], cout)), requires_grad=True)
     b = Tensor(rng.normal(size=cout), requires_grad=True)
     y = ops.conv_forward(x, w, b, padded)
     g = rng.normal(size=y.data.shape)
@@ -194,6 +254,21 @@ def test_blocked_conv_equals_monolithic_columns(x_shape, cout, padded):
     np.testing.assert_array_equal(x.grad, want_gx)
     np.testing.assert_array_equal(w.grad, want_gw)
     np.testing.assert_array_equal(b.grad, want_gb)
+
+
+def test_blocked_conv_equals_monolithic_columns_at_one_blas_thread():
+    # tier 1 leaves the BLAS thread count unpinned, and some products round
+    # differently at one thread, so check the same equalities there too
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(root / "src"),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_blocked_conv_equals_monolithic_columns"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:]
+    assert f"{len(BLOCKED_CONVS)} passed" in proc.stdout
 
 
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
@@ -210,13 +285,17 @@ def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shap
     monkeypatch.setattr(ops, "_im2col", spy)
     x = rand(x_shape, seed=1)
     x.requires_grad = True
-    w = rand((3, 3, 3, x_shape[-1], cout), seed=2)
+    kernel = (3,) * len(padded)
+    w = rand(kernel + (x_shape[-1], cout), seed=2)
     w.requires_grad = True
     y = ops.conv_forward(x, w, None, padded)
     backward(sum_all(y))
-    whole = np.prod(y.data.shape[:-1]) * 27 * x_shape[-1] * 8
-    assert whole > 4 * ops._COLUMN_BUDGET  # forward and weight gradient must split
-    assert len(built) > 8
+    # forward and weight-gradient columns, then the input gradient's
+    whole = math.prod(y.data.shape[:-1]) * math.prod(kernel) * x_shape[-1] * 8
+    whole_gx = math.prod(x_shape[:-1]) * math.prod(kernel) * cout * 8
+    assert whole > ops._COLUMN_BUDGET  # the forward and the weight gradient must split
+    assert sum(built) == 2 * whole + whole_gx  # the blocks tile each matrix once
+    assert len(built) > 4
     assert max(built) <= ops._COLUMN_BUDGET
 
 
