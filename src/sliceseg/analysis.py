@@ -46,10 +46,7 @@ def structure_depth(label_volumes, class_id: int) -> float:
         if not mask.any():
             continue
         labeled, count = connected_regions(mask)
-        depths = []
-        for r in range(1, count + 1):
-            zs = np.unique(np.nonzero(labeled == r)[2])
-            depths.append(int(zs.max()) - int(zs.min()) + 1)
+        depths = [box[2].stop - box[2].start for box in ndimage.find_objects(labeled)]
         per_patient.append(sum(depths) / count)
     if not per_patient:
         raise ValueError(f"class {class_id} absent from every volume")

@@ -82,8 +82,13 @@ class AugmentParams:
             raise ValueError(f"zoom_range values must be positive, got {self.zoom_range}")
 
 
-def _warp_plane(plane: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
-    return ndimage.map_coordinates(plane, coords, order=order, mode="nearest")
+def _warp(a: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
+    """Resample every (H, W) plane of ``a`` (H, W, ...) at ``coords``."""
+    out = np.empty_like(a)
+    for k in np.ndindex(a.shape[2:]):
+        plane = (slice(None), slice(None), *k)
+        out[plane] = ndimage.map_coordinates(a[plane], coords, order=order, mode="nearest")
+    return out
 
 
 def augment(sample: SliceSample, params: AugmentParams,
@@ -139,16 +144,7 @@ def augment(sample: SliceSample, params: AugmentParams,
                                             params.elastic_sigma)
             src[axis] += field * params.elastic_alpha
 
-    new_stack = np.empty_like(stack)
-    for k in range(stack.shape[2]):
-        for c in range(stack.shape[3]):
-            new_stack[:, :, k, c] = _warp_plane(stack[:, :, k, c], src, order=1)
-    if target.ndim == 2:
-        new_target = _warp_plane(target, src, order=0)
-    else:
-        new_target = np.stack([_warp_plane(target[:, :, k], src, order=0)
-                               for k in range(target.shape[2])], axis=2)
-    return replace(sample, stack=new_stack, target=new_target)
+    return replace(sample, stack=_warp(stack, src, order=1), target=_warp(target, src, order=0))
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,12 @@ def dice_per_class(pred_labels: np.ndarray, true_labels: np.ndarray,
     return [hard_dice(pred_labels == k, true_labels == k) for k in range(num_classes)]
 
 
-def soft_dice_loss(u, v, epsilon: float = SOFT_DICE_EPSILON) -> Tensor:
+def soft_dice_loss(u, v) -> Tensor:
     """Differentiable overlap loss in [-1, 0].
 
     Computed per class over all positions in the batch, then averaged over
     classes (background included):
-        -2 sum(u v) / (sum(u) + sum(v) + epsilon)
+        -2 sum(u v) / (sum(u) + sum(v) + SOFT_DICE_EPSILON)
     """
     u = _as_tensor(u)
     v = _as_tensor(v)
@@ -63,7 +63,7 @@ def soft_dice_loss(u, v, epsilon: float = SOFT_DICE_EPSILON) -> Tensor:
     position_axes = tuple(range(u.data.ndim - 1))
     intersection = ad.sum_axes(ad.mul(u, v), position_axes)
     denom = ad.add_const(
-        ad.add(ad.sum_axes(u, position_axes), ad.sum_axes(v, position_axes)), epsilon)
+        ad.add(ad.sum_axes(u, position_axes), ad.sum_axes(v, position_axes)), SOFT_DICE_EPSILON)
     per_class = ad.div(ad.scale(intersection, -2.0), denom)
     return ad.mean_all(per_class)
 
@@ -83,8 +83,8 @@ def cross_entropy_loss(u, v) -> Tensor:
     return ad.scale(total, -1.0 / positions)
 
 
-def combined_loss(u, v, epsilon: float = SOFT_DICE_EPSILON) -> Tensor:
+def combined_loss(u, v) -> Tensor:
     """Sum of the soft overlap loss and the cross-entropy term."""
     u = _as_tensor(u)
     v = _as_tensor(v)
-    return ad.add(soft_dice_loss(u, v, epsilon=epsilon), cross_entropy_loss(u, v))
+    return ad.add(soft_dice_loss(u, v), cross_entropy_loss(u, v))

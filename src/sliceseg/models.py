@@ -123,19 +123,18 @@ class TransitionBlock:
     the stack extent of the block's conv3d records in ``ops.cost_trace``.
     """
 
-    def __init__(self, rng, d: int, in_channels: int, width: int = TRANSITION_WIDTH):
+    def __init__(self, rng, d: int, in_channels: int):
         if d < 3 or d % 2 == 0:
             raise ValueError(f"transition block requires odd stack depth >= 3, got {d}")
         self.depth = d
-        self.width = width
         self.blocks: list[ConvBlock] = []
         cin = in_channels
         for _ in range(d // 2):
-            self.blocks.append(ConvBlock(rng, 3, cin, width, padded=(True, True, False)))
-            cin = width
+            self.blocks.append(ConvBlock(rng, 3, cin, TRANSITION_WIDTH, padded=(True, True, False)))
+            cin = TRANSITION_WIDTH
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        """(N, H, W, D, C) with D >= d -> (N * (D-d+1), H, W, width), the
+        """(N, H, W, D, C) with D >= d -> (N * (D-d+1), H, W, TRANSITION_WIDTH), the
         window index moved into the batch axis (row n * (D-d+1) + j is
         window j of input n). D == d gives one feature slice per input."""
         if x.data.shape[3] < self.depth:
@@ -167,7 +166,6 @@ class EncoderDecoder:
         if skips not in ("concat", "indices"):
             raise ValueError(f"unknown skip style {skips!r}")
         f = base_filters
-        self.rank = rank
         self.skips = skips
         widths = [f, 2 * f, 4 * f]
         self.enc: list[tuple[ConvBlock, ConvBlock]] = []
@@ -191,12 +189,12 @@ class EncoderDecoder:
         for a, b in self.enc:
             t = b.forward(a.forward(t, training), training)
             feature_maps.append(t)
-            t, idx = ops.maxpool_with_indices(t, self.rank)
+            t, idx = ops.maxpool_with_indices(t)
             index_maps.append(idx)
         t = self.bott[1].forward(self.bott[0].forward(t, training), training)
         if self.skips == "concat":
             for (a, b), skip in zip(self.dec, reversed(feature_maps)):
-                t = ops.upsample_nearest(t, self.rank)
+                t = ops.upsample_nearest(t)
                 t = ad.concat([t, skip], axis=-1)
                 t = b.forward(a.forward(t, training), training)
         else:
@@ -228,7 +226,7 @@ class SegmentationModel:
         self.transition: TransitionBlock | None = None
         if spec.mode == "proposed":
             self.transition = TransitionBlock(rng, spec.d, spec.in_channels)
-            backbone_in = self.transition.width
+            backbone_in = TRANSITION_WIDTH
         elif spec.mode == "channel_based":
             backbone_in = spec.d * spec.in_channels
         else:

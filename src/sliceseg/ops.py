@@ -19,6 +19,11 @@ change its summation order; it splits the columns instead, over the axes
 (*kernel, channel) in the same way, and each group gives its own rows of
 the weight gradient. Windows are gathered through one strided view of the
 padded input, and padding is a zeroed array with the input written inside.
+
+Pooling, unpooling and upsampling share one view of the 2 x ... x 2
+windows, (N, *spatial/2, C, 2**rank), and an adjoint gather/scatter pair on
+it: pooling gathers at the argmax codes, unpooling scatters to them, and
+each is the other's backward.
 """
 from __future__ import annotations
 
@@ -38,9 +43,9 @@ from .autodiff import Tensor, _node, accumulate_grad
 # 4-channel convs already round differently: do not go lower without a bit check.
 _COLUMN_BUDGET = 4 * 2**20
 
-# Optional cost trace, the one record of what a forward pass did: while a
-# trace list is installed, each structured op appends its kind, MACs and
-# output shape per application.
+# Optional cost trace, the one record of what a forward pass did: while
+# trace lists are open, each structured op appends its kind, MACs and
+# output shape per application to every one of them.
 _trace_ctx = threading.local()
 
 
@@ -53,19 +58,19 @@ class OpCost:
 
 @contextlib.contextmanager
 def cost_trace(records: list):
-    """Record into ``records`` for the duration of the block; the enclosing
-    trace, if any, receives nothing meanwhile and is restored on exit."""
-    outer = getattr(_trace_ctx, "records", None)
-    _trace_ctx.records = records
+    """Record into ``records`` for the duration of the block. Traces nest:
+    every open trace receives every record, and the open set is restored
+    on exit."""
+    outer = getattr(_trace_ctx, "open", ())
+    _trace_ctx.open = (*outer, records)
     try:
         yield records
     finally:
-        _trace_ctx.records = outer
+        _trace_ctx.open = outer
 
 
 def _record(kind: str, macs: int, shape: tuple[int, ...]) -> None:
-    records = getattr(_trace_ctx, "records", None)
-    if records is not None:
+    for records in getattr(_trace_ctx, "open", ()):
         records.append(OpCost(kind, int(macs), shape))
 
 
@@ -231,66 +236,63 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     return _node(y, parents, f"conv{rank}d", bwd)
 
 
-def _pool_windows(x: np.ndarray, rank: int) -> np.ndarray:
-    """(N, *spatial, C) -> (N, *half_spatial, C, 2**rank) windowed view with
-    window elements in row-major order."""
-    n = x.shape[0]
-    c = x.shape[-1]
-    spatial = x.shape[1:1 + rank]
-    shape = [n]
-    for s in spatial:
-        shape.extend([s // 2, 2])
-    shape.append(c)
-    xr = x.reshape(shape)
-    # move the three interleaved window axes after the channel axis
-    win_axes = [2 + 2 * i for i in range(rank)]
-    keep_axes = [0] + [1 + 2 * i for i in range(rank)] + [1 + 2 * rank]
-    xr = xr.transpose(keep_axes + win_axes)
-    return xr.reshape((n, *[s // 2 for s in spatial], c, 2 ** rank))
+def _window_axes(rank: int) -> tuple[int, ...]:
+    """The axis order taking (N, s1, 2, ..., sr, 2, C) to (N, s1, ..., sr, C, 2, ..., 2)."""
+    return (0, *range(1, 2 * rank, 2), 2 * rank + 1, *range(2, 2 * rank + 1, 2))
 
 
-def maxpool_with_indices(x: Tensor, rank: int) -> tuple[Tensor, np.ndarray]:
-    """Max pooling with window and stride 2 per spatial axis. Ties resolve
-    to the first maximum in row-major window order. Returns the pooled
-    tensor and its argmax codes for :func:`max_unpool`: an integer array
-    of the pooled shape whose entry ``codes[n, *coarse, c]`` is the
-    row-major offset of the maximum inside its pooling window."""
-    if x.data.ndim != rank + 2:
-        raise ValueError(f"maxpool rank {rank} expects {rank + 2}D input")
-    spatial = x.data.shape[1:1 + rank]
+def _windows(x: np.ndarray) -> np.ndarray:
+    """(N, *spatial, C) -> (N, *spatial/2, C, 2**rank): the 2 x ... x 2
+    window at each coarse position, its elements in row-major order."""
+    n, half, c = x.shape[0], tuple(s // 2 for s in x.shape[1:-1]), x.shape[-1]
+    xr = x.reshape((n, *(e for h in half for e in (h, 2)), c))
+    return xr.transpose(_window_axes(len(half))).reshape((n, *half, c, 2 ** len(half)))
+
+
+def _unwindows(win: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_windows`: (N, *half, C, 2**rank) -> (N, *2*half, C)."""
+    n, half, c = win.shape[0], win.shape[1:-2], win.shape[-2]
+    wr = win.reshape((n, *half, c) + (2,) * len(half))
+    return wr.transpose(np.argsort(_window_axes(len(half)))).reshape(
+        (n, *(2 * h for h in half), c))
+
+
+def _gather(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The element of each window of ``x`` at its row-major offset in
+    ``codes``, an integer array of the pooled shape."""
+    return np.take_along_axis(_windows(x), codes[..., None], axis=-1)[..., 0]
+
+
+def _scatter(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_gather`: each value at its offset in ``codes``
+    inside its window, zero elsewhere."""
+    win = np.zeros(codes.shape + (2 ** (codes.ndim - 2),), dtype=np.float64)
+    np.put_along_axis(win, codes[..., None], values[..., None], axis=-1)
+    return _unwindows(win)
+
+
+def maxpool_with_indices(x: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Max pooling with window and stride 2 per spatial axis, of rank
+    ``x.ndim - 2``. Ties resolve to the first maximum in row-major window
+    order. Returns the pooled tensor and its argmax codes for
+    :func:`max_unpool`: an integer array of the pooled shape whose entry
+    ``codes[n, *coarse, c]`` is the row-major offset of the maximum inside
+    its pooling window."""
+    rank = x.data.ndim - 2
+    spatial = x.data.shape[1:-1]
     if any(s % 2 for s in spatial):
         raise ValueError(f"maxpool requires even spatial extents, got {spatial}")
 
-    win = _pool_windows(x.data, rank)
+    # argmax and values from one window view; _gather would build a second
+    win = _windows(x.data)
     codes = win.argmax(axis=-1)
     pooled = np.take_along_axis(win, codes[..., None], axis=-1)[..., 0]
     _record(f"maxpool{rank}d", 0, pooled.shape)
 
     def bwd(g):
-        scattered = np.zeros(win.shape, dtype=np.float64)
-        np.put_along_axis(scattered, codes[..., None], g[..., None], axis=-1)
-        accumulate_grad(x, _unpool_scatter(scattered, x.data.shape, rank))
+        accumulate_grad(x, _scatter(g, codes))
 
     return _node(pooled, (x,), f"maxpool{rank}d", bwd), codes
-
-
-def _unpool_scatter(win: np.ndarray, full_shape: tuple[int, ...], rank: int) -> np.ndarray:
-    """Inverse of :func:`_pool_windows` for an (N, *half, C, 2**rank) array."""
-    n = full_shape[0]
-    c = full_shape[-1]
-    spatial = full_shape[1:1 + rank]
-    half = [s // 2 for s in spatial]
-    win = win.reshape((n, *half, c) + (2,) * rank)
-    # invert the transpose done in _pool_windows
-    src = list(range(win.ndim))
-    keep = src[:1 + rank]
-    chan = src[1 + rank]
-    wins = src[2 + rank:]
-    interleaved = [keep[0]]
-    for i in range(rank):
-        interleaved.extend([keep[1 + i], wins[i]])
-    interleaved.append(chan)
-    return win.transpose(interleaved).reshape(full_shape)
 
 
 def max_unpool(x: Tensor, codes: np.ndarray) -> Tensor:
@@ -302,31 +304,28 @@ def max_unpool(x: Tensor, codes: np.ndarray) -> Tensor:
     if x.data.shape != codes.shape:
         raise ValueError(f"unpool input shape {x.data.shape} does not match codes {codes.shape}")
     rank = codes.ndim - 2
-    full_shape = (codes.shape[0], *[2 * s for s in codes.shape[1:1 + rank]], codes.shape[-1])
-
-    win = np.zeros(codes.shape + (2 ** rank,), dtype=np.float64)
-    np.put_along_axis(win, codes[..., None], x.data[..., None], axis=-1)
-    y = _unpool_scatter(win, full_shape, rank)
+    y = _scatter(x.data, codes)
     _record(f"max_unpool{rank}d", 0, y.shape)
 
     def bwd(g):
-        accumulate_grad(x, np.take_along_axis(_pool_windows(g, rank), codes[..., None],
-                                              axis=-1)[..., 0])
+        accumulate_grad(x, _gather(g, codes))
 
     return _node(y, (x,), f"max_unpool{rank}d", bwd)
 
 
-def upsample_nearest(x: Tensor, rank: int) -> Tensor:
-    """Nearest-neighbour upsampling by 2 per spatial axis (parameter free)."""
-    if x.data.ndim != rank + 2:
-        raise ValueError(f"upsample rank {rank} expects {rank + 2}D input")
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Nearest-neighbour upsampling by 2 per spatial axis, of rank
+    ``x.ndim - 2`` (parameter free)."""
+    rank = x.data.ndim - 2
+    # np.repeat per axis: building it as _unwindows of a broadcast was 2-5x
+    # slower at C <= 8
     y = x.data
     for axis in range(1, 1 + rank):
         y = np.repeat(y, 2, axis=axis)
     _record(f"upsample{rank}d", 0, y.shape)
 
     def bwd(g):
-        accumulate_grad(x, _pool_windows(g, rank).sum(axis=-1))
+        accumulate_grad(x, _windows(g).sum(axis=-1))
 
     return _node(y, (x,), f"upsample{rank}d", bwd)
 

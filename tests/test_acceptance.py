@@ -91,7 +91,7 @@ def _primitive_cases(rng):
     vals = rng.permutation(48).astype(np.float64).reshape(1, 4, 6, 2) * 0.3
     x = Tensor(vals)
     p = _probe(rng, (1, 2, 3, 2))
-    cases["maxpool"] = (lambda x_, p=p: p(ops.maxpool_with_indices(x_, 2)[0]),
+    cases["maxpool"] = (lambda x_, p=p: p(ops.maxpool_with_indices(x_)[0]),
                         [x])
 
     x = Tensor(rng.normal(size=(2, 3, 3, 2)))

@@ -324,12 +324,47 @@ def test_conv_columns_in_blocks_of_any_budget_match_monolithic(case, budget):
 # pooling and unpooling
 
 
+@st.composite
+def _window_inputs(draw):
+    """An (N, *spatial, C) array of rank 1-3 with even extents 2-8, an array
+    of its pooled shape and random window codes."""
+    rank = draw(st.integers(1, 3))
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    half = draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = (n, *half, c)
+    return (rng.normal(size=(n, *(2 * h for h in half), c)), rng.normal(size=pooled),
+            rng.integers(0, 2**rank, size=pooled))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_inputs())
+def test_windows_hold_each_window_in_row_major_order(case):
+    x, _, _ = case
+    rank = x.ndim - 2
+    win = ops._windows(x)
+    assert win.shape == (x.shape[0], *(s // 2 for s in x.shape[1:-1]), x.shape[-1], 2**rank)
+    np.testing.assert_array_equal(ops._unwindows(win), x)
+    for n, *i, c, k in np.ndindex(win.shape):
+        offset = np.unravel_index(k, (2,) * rank)
+        assert win[(n, *i, c, k)] == x[(n, *(2 * a + b for a, b in zip(i, offset)), c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_inputs())
+def test_scatter_is_the_adjoint_of_gather(case):
+    b, a, codes = case
+    lhs = np.sum(ops._scatter(a, codes) * b)
+    rhs = np.sum(a * ops._gather(b, codes))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
 def test_maxpool_values_and_indices():
     x = np.array([[1.0, 2.0, 5.0, 4.0],
                   [3.0, 0.0, 1.0, 1.0],
                   [7.0, 2.0, 2.0, 2.0],
                   [1.0, 8.0, 3.0, 9.0]]).reshape(1, 4, 4, 1)
-    y, idx = ops.maxpool_with_indices(Tensor(x), rank=2)
+    y, idx = ops.maxpool_with_indices(Tensor(x))
     assert np.allclose(y.data[0, :, :, 0], [[3.0, 5.0], [8.0, 9.0]])
     restored = ops.max_unpool(y, idx).data[0, :, :, 0]
     assert restored[1, 0] == 3.0 and restored[0, 2] == 5.0
@@ -339,7 +374,7 @@ def test_maxpool_values_and_indices():
 
 def test_maxpool_tie_breaks_to_first_row_major():
     x = np.full((1, 2, 2, 1), 4.0)
-    y, idx = ops.maxpool_with_indices(Tensor(x), rank=2)
+    y, idx = ops.maxpool_with_indices(Tensor(x))
     restored = ops.max_unpool(y, idx).data[0, :, :, 0]
     assert restored[0, 0] == 4.0
     assert np.count_nonzero(restored) == 1
@@ -347,17 +382,17 @@ def test_maxpool_tie_breaks_to_first_row_major():
 
 def test_maxpool_rejects_odd_extent():
     with pytest.raises(ValueError):
-        ops.maxpool_with_indices(rand((1, 3, 4, 1)), rank=2)
+        ops.maxpool_with_indices(rand((1, 3, 4, 1)))
 
 
 def test_maxpool3d_shape():
-    y, idx = ops.maxpool_with_indices(rand((2, 4, 6, 8, 3), seed=15), rank=3)
+    y, idx = ops.maxpool_with_indices(rand((2, 4, 6, 8, 3), seed=15))
     assert y.data.shape == (2, 2, 3, 4, 3)
     assert ops.max_unpool(y, idx).data.shape == (2, 4, 6, 8, 3)
 
 
 def test_unpool_rejects_codes_of_another_shape():
-    y, idx = ops.maxpool_with_indices(rand((1, 4, 4, 2), seed=18), rank=2)
+    y, idx = ops.maxpool_with_indices(rand((1, 4, 4, 2), seed=18))
     with pytest.raises(ValueError, match="does not match codes"):
         ops.max_unpool(y, idx[..., :1])
 
@@ -365,7 +400,7 @@ def test_unpool_rejects_codes_of_another_shape():
 def test_maxpool_gradient_routes_to_argmax():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 0.5]]).reshape(1, 2, 2, 1),
                requires_grad=True)
-    y, _ = ops.maxpool_with_indices(x, rank=2)
+    y, _ = ops.maxpool_with_indices(x)
     backward(sum_all(y))
     g = x.grad[0, :, :, 0]
     assert g[1, 0] == 1.0 and g.sum() == 1.0
@@ -374,7 +409,7 @@ def test_maxpool_gradient_routes_to_argmax():
 def test_unpool_gradient_gathers():
     rng = np.random.default_rng(16)
     x = Tensor(rng.normal(size=(1, 4, 4, 2)), requires_grad=True)
-    y, idx = ops.maxpool_with_indices(x, rank=2)
+    y, idx = ops.maxpool_with_indices(x)
     z = ops.max_unpool(y, idx)
     backward(sum_all(mul(z, z)))
     assert x.grad is not None and x.grad.shape == x.data.shape
@@ -386,7 +421,7 @@ def test_pool_unpool_gradcheck_away_from_ties():
     base = rng.permutation(16).astype(np.float64).reshape(1, 4, 4, 1) * 3.0
     x = Tensor(base)
     report = finite_difference_check(
-        lambda x_: sum_all(mul(y := ops.max_unpool(*ops.maxpool_with_indices(x_, 2)), y)),
+        lambda x_: sum_all(mul(y := ops.max_unpool(*ops.maxpool_with_indices(x_)), y)),
         [x])
     assert report.max_rel_error < 1e-6
 
@@ -397,13 +432,13 @@ def test_pool_unpool_gradcheck_away_from_ties():
 
 def test_upsample_nearest_repeats():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
-    y = ops.upsample_nearest(x, rank=2).data[0, :, :, 0]
+    y = ops.upsample_nearest(x).data[0, :, :, 0]
     assert np.allclose(y, [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
 
 
 def test_upsample_gradient_is_window_sum():
     x = Tensor(np.ones((1, 2, 2, 1)), requires_grad=True)
-    y = ops.upsample_nearest(x, rank=2)
+    y = ops.upsample_nearest(x)
     backward(sum_all(y))
     assert np.allclose(x.grad, 4.0)
 
@@ -412,7 +447,7 @@ def test_upsample3d_gradcheck():
     rng = np.random.default_rng(18)
     x = Tensor(rng.normal(size=(1, 2, 2, 2, 2)))
     report = finite_difference_check(
-        lambda x_: sum_all(mul(y := ops.upsample_nearest(x_, 3), y)), [x])
+        lambda x_: sum_all(mul(y := ops.upsample_nearest(x_), y)), [x])
     assert report.max_rel_error < 1e-7
 
 
@@ -582,4 +617,4 @@ def test_cost_trace_nests_and_restores_the_outer_list():
             conv()
         conv()
     conv()
-    assert len(outer) == 2 and len(inner) == 1
+    assert len(outer) == 3 and len(inner) == 1
