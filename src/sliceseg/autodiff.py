@@ -267,14 +267,14 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     return _node(out, parts, "concat", bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilised softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stabilised softmax along the last (class) axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         accumulate_grad(x, y * (g - dot))
 
     return _node(y, (x,), "softmax", bwd)

@@ -126,8 +126,9 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
 def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
     """Raise ``ConfigError`` when the loaded cohort cannot serve the config:
     cases whose in-plane shape or channel count differ (only a ``volumes``
-    directory can hold such a cohort), too few cases for ``folds.count``,
-    or a ``patch_depth`` deeper than the shallowest volume."""
+    directory can hold such a cohort), no case with a foreground label, too
+    few cases for ``folds.count``, or a ``patch_depth`` deeper than the
+    shallowest volume."""
     try:
         check_fold_sizes(len(volumes), cfg.folds.count)
     except ValueError as e:
@@ -137,6 +138,8 @@ def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
         if shape != hwc[0]:
             raise ConfigError(f"'source.directory': case {v.patient_id!r} has (H, W, C) "
                               f"{shape}, but case {volumes[0].patient_id!r} has {hwc[0]}")
+    if cohort_num_classes(volumes) < 2:
+        raise ConfigError("'source.directory': no case holds a foreground label")
     depth = min(v.labels.shape[2] for v in volumes)
     if "end2end_3d" in cfg.grid.modes and cfg.grid.patch_depth > depth:
         raise ConfigError(f"'grid.patch_depth': {cfg.grid.patch_depth} is deeper than "

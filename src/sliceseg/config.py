@@ -72,6 +72,11 @@ class GridConfig:
                 raise ConfigError(f"'grid.backbones' entry {b!r} not in {BACKBONES}")
         if not self.backbones:
             raise ConfigError("'grid.backbones' must not be empty")
+        for name in ("modes", "backbones", "d_values"):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ConfigError(f"'grid.{name}' repeats {v!r}")
         needs_d = any(m in ("proposed", "channel_based") for m in self.modes)
         if needs_d and not self.d_values:
             raise ConfigError("'grid.d_values' must not be empty for pseudo-3D modes")

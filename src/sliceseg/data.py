@@ -147,6 +147,10 @@ def augment(sample: SliceSample, params: AugmentParams,
     return replace(sample, stack=_warp(stack, src, order=1), target=_warp(target, src, order=0))
 
 
+# Share of the non-test patients of a fold held out for validation.
+VAL_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class FoldSplit:
     train: tuple[str, ...]
@@ -154,39 +158,38 @@ class FoldSplit:
     test: tuple[str, ...]
 
 
-def make_folds(patient_ids, num_folds: int = 5, seed: int = 0,
-               val_fraction: float = 0.2) -> list[FoldSplit]:
+def make_folds(patient_ids, num_folds: int = 5, seed: int = 0) -> list[FoldSplit]:
     """Patient-level cross-validation splits.
 
     Patients are shuffled once, the test partition rotates over
     ``num_folds`` equal blocks, and the remaining patients are split
-    val/train by ``val_fraction``. Every patient appears in exactly one
+    val/train by ``VAL_FRACTION``. Every patient appears in exactly one
     partition per fold.
     """
     ids = list(patient_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("patient ids must be unique")
-    check_fold_sizes(len(ids), num_folds, val_fraction)
+    check_fold_sizes(len(ids), num_folds)
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
     blocks = [list(b) for b in np.array_split(np.array(order, dtype=object), num_folds)]
     folds = []
     for k in range(num_folds):
         rest = [pid for j, b in enumerate(blocks) if j != k for pid in b]
-        n_val = int(round(val_fraction * len(rest)))
+        n_val = int(round(VAL_FRACTION * len(rest)))
         folds.append(FoldSplit(train=tuple(rest[n_val:]), val=tuple(rest[:n_val]),
                                test=tuple(blocks[k])))
     return folds
 
 
-def check_fold_sizes(num_patients: int, num_folds: int, val_fraction: float = 0.2) -> None:
+def check_fold_sizes(num_patients: int, num_folds: int) -> None:
     """Raise ``ValueError`` unless every fold of ``make_folds`` gets non-empty
     train, val and test partitions; needs the counts only, not the ids."""
     if num_folds < 2:
         raise ValueError("need at least 2 folds")
     # array_split's test blocks hold floor(n/k) or ceil(n/k) patients
     for test in {num_patients // num_folds, -(-num_patients // num_folds)}:
-        n_val = int(round(val_fraction * (num_patients - test)))
+        n_val = int(round(VAL_FRACTION * (num_patients - test)))
         if min(test, n_val, num_patients - test - n_val) < 1:
             raise ValueError(f"{num_patients} patients are too few for {num_folds} folds "
                              "with non-empty train/val/test")

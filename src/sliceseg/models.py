@@ -79,21 +79,18 @@ class Conv:
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv_forward(x, self.w, self.b, self.padded)
 
-    def params(self):
-        return [("w", self.w, True), ("b", self.b, False)]
-
 
 class BatchNorm:
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running = ops.RunningStats(channels)
+        # inference-time averages, updated in place by training passes
+        self.running_mean = Tensor(np.zeros(channels))
+        self.running_var = Tensor(np.ones(channels))
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ops.batch_norm(x, self.gamma, self.beta, self.running, training)
-
-    def params(self):
-        return [("gamma", self.gamma, False), ("beta", self.beta, False)]
+        return ops.batch_norm(x, self.gamma, self.beta, self.running_mean.data,
+                              self.running_var.data, training)
 
 
 class ConvBlock:
@@ -202,7 +199,7 @@ class EncoderDecoder:
                 t = a.forward(t, training)
                 t = ops.max_unpool(t, idx)
                 t = b.forward(t, training)
-        return ad.softmax(self.out.forward(t), axis=-1)
+        return ad.softmax(self.out.forward(t))
 
     def iter_layers(self, prefix: str):
         for i, (a, b) in enumerate(self.enc):
@@ -218,7 +215,7 @@ class EncoderDecoder:
 
 
 class SegmentationModel:
-    """A front end plus backbone with a flat, ordered parameter registry."""
+    """A front end plus backbone with a flat, ordered tensor registry."""
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
@@ -240,21 +237,21 @@ class SegmentationModel:
             yield from self.transition.iter_layers("transition")
         yield from self.backbone.iter_layers("backbone")
 
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def tensors(self):
+        """``("<layer path>.<attr>", tensor)`` for every ``Tensor`` attribute
+        of every layer, in layer order: the one registry that parameters,
+        L2 decay and saved state are read from."""
         for name, layer in self.iter_layers():
-            for pname, tensor, _ in layer.params():
-                out[f"{name}.{pname}"] = tensor
-        return out
+            for attr, value in vars(layer).items():
+                if isinstance(value, Tensor):
+                    yield f"{name}.{attr}", value
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {name: t for name, t in self.tensors() if t.requires_grad}
 
     def decay_parameters(self) -> set[str]:
         """Names of parameters subject to L2: convolution kernels only."""
-        out = set()
-        for name, layer in self.iter_layers():
-            for pname, _, decay in layer.params():
-                if decay:
-                    out.add(f"{name}.{pname}")
-        return out
+        return {name for name in self.parameters() if name.endswith(".w")}
 
     def forward(self, x, training: bool = False) -> Tensor:
         """Class probabilities for an (N, H, W, D, C) slab.
@@ -285,21 +282,11 @@ class SegmentationModel:
         return self.backbone.forward(t, training)
 
     def state(self) -> dict[str, np.ndarray]:
-        out = {name: t.data.copy() for name, t in self.parameters().items()}
-        for name, layer in self.iter_layers():
-            if isinstance(layer, BatchNorm):
-                out[f"{name}.running_mean"] = layer.running.mean.copy()
-                out[f"{name}.running_var"] = layer.running.var.copy()
-        return out
+        return {name: t.data.copy() for name, t in self.tensors()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        for name, t in params.items():
+        for name, t in self.tensors():
             t.data[...] = state[name]
-        for name, layer in self.iter_layers():
-            if isinstance(layer, BatchNorm):
-                layer.running.mean[:] = state[f"{name}.running_mean"]
-                layer.running.var[:] = state[f"{name}.running_var"]
 
 
 def assemble_model(spec: ModelSpec, seed: int = 0) -> SegmentationModel:

@@ -330,27 +330,23 @@ def upsample_nearest(x: Tensor) -> Tensor:
     return _node(y, (x,), f"upsample{rank}d", bwd)
 
 
-class RunningStats:
-    """Per-channel exponential moving averages used by batch norm at
-    inference time. Updated in place during training forward passes."""
-
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels, dtype=np.float64)
-        self.var = np.ones(channels, dtype=np.float64)
+# Batch norm constants: running-average momentum and variance offset.
+BN_MOMENTUM = 0.99
+BN_EPSILON = 1e-3
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
-               training: bool, momentum: float = 0.99, eps: float = 1e-3) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Batch normalisation over all axes except the trailing channel axis,
     followed by ReLU, as one graph node.
 
-    Training mode normalises with batch statistics and folds them into the
-    running averages; inference mode uses the stored averages only. The
-    steps run in place, in the elementwise order of a separate batch norm
-    followed by ``y * (y > 0)``, so results match that pair bit for bit.
-    Training keeps only ``xhat``, the ReLU mask and ``inv_std`` for
-    backward. Inference writes its output over ``xhat`` and keeps the
-    mask; a backward pass through it recomputes ``xhat`` from ``x``.
+    Training mode normalises with batch statistics and folds them into
+    ``running_mean`` and ``running_var`` in place; inference mode uses
+    those averages only. Both modes run the same in-place steps, in the
+    elementwise order of a separate batch norm followed by
+    ``y * (y > 0)``, so results match that pair bit for bit. The node
+    keeps the ReLU mask, ``mean`` and ``inv_std``; backward recomputes
+    ``xhat = (x - mean) * inv_std`` from ``x`` in both modes.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -362,22 +358,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
 
     if training:
         mean = x.data.mean(axis=axes)
-        xhat = x.data - mean
+        y = x.data - mean
         # numpy's own var steps, so this equals x.var(axis=axes) bit for bit
-        var = (xhat * xhat).sum(axis=axes) / m
-        running.mean[:] = momentum * running.mean + (1.0 - momentum) * mean
-        running.var[:] = momentum * running.var + (1.0 - momentum) * var
+        var = (y * y).sum(axis=axes) / m
+        running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+        running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     else:
-        mean = running.mean.copy()  # training passes update it in place
-        var = running.var
-        xhat = x.data - mean
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
-    if training:
-        y = gamma.data * xhat
-    else:
-        y = xhat
-        y *= gamma.data
+        mean = running_mean.copy()  # training passes update it in place
+        var = running_var
+        y = x.data - mean
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    y *= inv_std
+    y *= gamma.data
     y += beta.data
     mask = y > 0
     y *= mask
@@ -385,16 +377,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
 
     def bwd(g):
         g = g * mask
-        xh = xhat if training else (x.data - mean) * inv_std
+        xhat = (x.data - mean) * inv_std
         if gamma.requires_grad:
-            accumulate_grad(gamma, (g * xh).sum(axis=axes))
+            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
         if beta.requires_grad:
             accumulate_grad(beta, g.sum(axis=axes))
         if x.requires_grad:
             if training:
-                gxhat = g * gamma.data
-                gx = (gxhat - gxhat.mean(axis=axes)
-                      - xh * (gxhat * xh).mean(axis=axes)) * inv_std
+                # (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) * inv_std, in place
+                gx = g * gamma.data
+                shift, scale = gx.mean(axis=axes), (gx * xhat).mean(axis=axes)
+                gx -= shift
+                xhat *= scale
+                gx -= xhat
+                gx *= inv_std
             else:
                 gx = g * gamma.data * inv_std
             accumulate_grad(x, gx)

@@ -97,11 +97,11 @@ def _primitive_cases(rng):
     x = Tensor(rng.normal(size=(2, 3, 3, 2)))
     gamma = Tensor(rng.normal(size=(2,)))
     beta = Tensor(rng.normal(size=(2,)))
-    running = ops.RunningStats(2)
+    running_mean, running_var = np.zeros(2), np.ones(2)
     p = _probe(rng, (2, 3, 3, 2))
     cases["batch_norm"] = (
-        lambda x_, g_, b_, p=p, running=running:
-            p(ops.batch_norm(x_, g_, b_, running, training=True)),
+        lambda x_, g_, b_, p=p: p(ops.batch_norm(x_, g_, b_, running_mean, running_var,
+                                                 training=True)),
         [x, gamma, beta])
 
     logits = Tensor(rng.normal(size=(4, 5)))

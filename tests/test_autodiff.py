@@ -113,7 +113,7 @@ def test_concat_backward_splits():
 def test_softmax_values_match_numpy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 5))
-    y = ad.softmax(Tensor(x), axis=-1).data
+    y = ad.softmax(Tensor(x)).data
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     assert np.allclose(y, e / e.sum(axis=-1, keepdims=True))
 
@@ -130,7 +130,7 @@ def test_softmax_shift_invariance():
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=5),
               elements=st.floats(-30, 30)))
 def test_softmax_rows_sum_to_one(x):
-    y = ad.softmax(Tensor(x), axis=-1).data
+    y = ad.softmax(Tensor(x)).data
     assert np.all(y >= 0)
     assert np.allclose(y.sum(axis=-1), 1.0)
 
@@ -154,11 +154,11 @@ SMOOTH_CASES = {
         ad.log(ad.add_const(ad.add(ad.mul(a, a), ad.mul(b, b)), 0.5)))),
     "concat": ((2, 3), lambda a, b: ad.sum_all(ad.mul(c := ad.concat([a, b], 1), c))),
     "softmax_pick": ((2, 3), lambda a, b: ad.sum_all(
-        ad.mul(ad.softmax(a, axis=-1), ad.softmax(b, axis=-1)))),
+        ad.mul(ad.softmax(a), ad.softmax(b)))),
     # two overlapping 2-slice windows of a 3-slice stack: the middle
     # slice's gradient is the sum over both windows
     "fold_windows": ((1, 1, 1, 3, 2), lambda a, b: ad.sum_all(ad.mul(
-        ad.fold_windows(a, 2), ad.softmax(ad.fold_windows(b, 2), axis=-1)))),
+        ad.fold_windows(a, 2), ad.softmax(ad.fold_windows(b, 2))))),
 }
 
 

@@ -114,6 +114,9 @@ MALFORMED = [
     ("grid.modes", ["nope"],
      "'grid.modes' entry 'nope' not in ('end2end_2d', 'proposed', 'channel_based', 'end2end_3d')"),
     (None, [1, 2], "top-level config must be an object"),
+    ("grid.modes", ["end2end_2d", "end2end_2d"], "'grid.modes' repeats 'end2end_2d'"),
+    ("grid.backbones", ["unet", "segnet", "unet"], "'grid.backbones' repeats 'unet'"),
+    ("grid.d_values", [3, 5, 3], "'grid.d_values' repeats 3"),
     ("grid.d_values", [3, 4], "'grid.d_values': proposed mode requires odd d >= 3"),
     ("grid.d_values", [1], "'grid.d_values': proposed mode requires odd d >= 3"),
     ("grid", {"modes": ["end2end_3d"], "patch_depth": 12},
@@ -189,10 +192,10 @@ def _configs(draw) -> ExperimentConfig:
                               normalization=st.sampled_from(NORMALIZATIONS))),
         grid=draw(st.builds(
             GridConfig,
-            modes=st.lists(st.sampled_from(MODES), min_size=1).map(tuple),
-            backbones=st.lists(st.sampled_from(BACKBONES), min_size=1).map(tuple),
+            modes=st.lists(st.sampled_from(MODES), min_size=1, unique=True).map(tuple),
+            backbones=st.lists(st.sampled_from(BACKBONES), min_size=1, unique=True).map(tuple),
             d_values=st.lists(st.integers(1, 10**6).map(lambda i: 2 * i + 1),
-                              min_size=1).map(tuple),
+                              min_size=1, unique=True).map(tuple),
             base_filters=st.integers(1, 10**6),
             patch_depth=st.integers(1, 10**6).map(lambda i: 8 * i))),
         train=draw(_train_configs()), folds=folds, output_dir=draw(st.text()))
@@ -476,6 +479,16 @@ def test_mixed_cohort_shapes_exit_before_any_cell(tmp_path, capsys, verb, differ
     assert capsys.readouterr().err == (
         f"error: 'source.directory': case 'p003' has (H, W, C) {hwc},"
         " but case 'p000' has (32, 32, 1)\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "profile"])
+def test_cohort_without_foreground_exits_before_any_cell(tmp_path, capsys, verb):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    volumes = [dataclasses.replace(v, labels=np.zeros_like(v.labels)) for v in volumes]
+    assert cli.main([verb, _volumes_config(tmp_path, volumes)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'source.directory': no case holds a foreground label\n")
     assert not (tmp_path / "run").exists()
 
 

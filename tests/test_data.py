@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from sliceseg import volio
-from sliceseg.data import (AugmentParams, SliceSample, augment, check_fold_sizes,
-                           extract_stack, make_folds, normalize_ct, normalize_zscore)
+from sliceseg.data import (VAL_FRACTION, AugmentParams, SliceSample, augment,
+                           check_fold_sizes, extract_stack, make_folds, normalize_ct,
+                           normalize_zscore)
 from sliceseg.phantom import LabeledVolume, PhantomRecipe, generate_phantom
 
 
@@ -187,28 +188,26 @@ def test_folds_reject_duplicates_and_tiny_cohorts():
         make_folds(["a", "b"], num_folds=5)
 
 
-def _every_fold_filled(n, k, val_fraction):
+def _every_fold_filled(n, k):
     # the per-fold emptiness check make_folds ran before the size rule
     blocks = np.array_split(np.arange(n), k)
     for i, test in enumerate(blocks):
         rest = [pid for j, b in enumerate(blocks) if j != i for pid in b]
-        n_val = int(round(val_fraction * len(rest)))
+        n_val = int(round(VAL_FRACTION * len(rest)))
         if not (len(test) and rest[:n_val] and rest[n_val:]):
             return False
     return True
 
 
-@pytest.mark.parametrize("val_fraction", [0.1, 0.2, 0.5])
-def test_fold_size_rule_matches_the_built_partitions(val_fraction):
+def test_fold_size_rule_matches_the_built_partitions():
     for n in range(40):
         for k in range(2, 12):
-            if _every_fold_filled(n, k, val_fraction):
-                check_fold_sizes(n, k, val_fraction)
-                folds = make_folds(range(n), k, val_fraction=val_fraction)
+            if _every_fold_filled(n, k):
+                check_fold_sizes(n, k)
+                folds = make_folds(range(n), k)
                 assert all(f.train and f.val and f.test for f in folds)
             else:
-                for check in (lambda: check_fold_sizes(n, k, val_fraction),
-                              lambda: make_folds(range(n), k, val_fraction=val_fraction)):
+                for check in (lambda: check_fold_sizes(n, k), lambda: make_folds(range(n), k)):
                     with pytest.raises(ValueError, match="too few"):
                         check()
 

@@ -260,11 +260,31 @@ def test_state_roundtrip_preserves_outputs():
     model.forward(x, training=True)
     before = model.forward(x, training=False).data.copy()
     state = model.state()
-    for t in model.parameters().values():
+    # a second training pass moves the running averages past the saved ones,
+    # so a state without them cannot restore the outputs
+    model.forward(x, training=True)
+    for _, t in model.tensors():
         t.data += rng.normal(size=t.data.shape)
     model.load_state(state)
     after = model.forward(x, training=False).data
     assert np.array_equal(before, after)
+
+
+# the conv blocks of a d = 3 proposed U-Net
+_BLOCKS = ["transition.0"] + [f"backbone.{level}{half}"
+                              for level in ("enc1", "enc2", "enc3", "bott", "dec3", "dec2", "dec1")
+                              for half in "ab"]
+STATE_NAMES = sorted([f"{blk}.conv.{a}" for blk in _BLOCKS for a in ("w", "b")]
+                     + [f"{blk}.bn.{a}" for blk in _BLOCKS
+                        for a in ("gamma", "beta", "running_mean", "running_var")]
+                     + ["backbone.out.w", "backbone.out.b"])
+
+
+def test_state_names_are_the_parameters_plus_running_averages():
+    model = assemble_model(spec(mode="proposed", d=3, f=4, c=2, k=3), seed=0)
+    assert sorted(model.state()) == sorted(name for name, _ in model.tensors()) == STATE_NAMES
+    running = {f"{blk}.bn.{a}" for blk in _BLOCKS for a in ("running_mean", "running_var")}
+    assert set(model.state()) - set(model.parameters()) == running
 
 
 def test_he_uniform_bound():

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -459,8 +460,7 @@ def test_batch_norm_normalizes_in_training():
     rng = np.random.default_rng(19)
     x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(4, 8, 8, 2)))
     gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
-    running = ops.RunningStats(2)
-    y = ops.batch_norm(x, gamma, beta, running, training=True).data
+    y = ops.batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), training=True).data
     # the ReLU of a zero-mean, unit-variance batch
     axes = (0, 1, 2)
     z = (x.data - x.data.mean(axis=axes)) / np.sqrt(x.data.var(axis=axes) + 1e-3)
@@ -471,20 +471,18 @@ def test_batch_norm_normalizes_in_training():
 def test_batch_norm_running_stats_update():
     rng = np.random.default_rng(20)
     x = Tensor(rng.normal(loc=2.0, size=(8, 4, 4, 1)))
-    running = ops.RunningStats(1)
-    ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), running, training=True)
+    running_mean = np.zeros(1)
+    ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), running_mean, np.ones(1),
+                   training=True)
     # momentum 0.99 pulls the zero-init mean slightly toward the batch mean
     batch_mean = x.data.mean(axis=(0, 1, 2))
-    assert np.allclose(running.mean, 0.01 * batch_mean)
+    assert np.allclose(running_mean, 0.01 * batch_mean)
 
 
 def test_batch_norm_inference_uses_running_stats():
-    running = ops.RunningStats(1)
-    running.mean[:] = 1.0
-    running.var[:] = 4.0
     x = Tensor(np.array([3.0, -1.0]).reshape(1, 2, 1, 1))
-    y = ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), running,
-                       training=False).data
+    y = ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), np.array([1.0]),
+                       np.array([4.0]), training=False).data
     # (3 - 1) / std stays; (-1 - 1) / std is negative and the ReLU zeroes it
     assert np.allclose(y.ravel(), [(3.0 - 1.0) / np.sqrt(4.0 + 1e-3), 0.0])
 
@@ -503,8 +501,7 @@ def test_batch_norm_gradients():
         probe = Tensor(rng.normal(size=(3, 4, 4, 2)), requires_grad=False)
 
         def fn(x_, g_, b_):
-            running = ops.RunningStats(2)
-            y = ops.batch_norm(x_, g_, b_, running, training=True)
+            y = ops.batch_norm(x_, g_, b_, np.zeros(2), np.ones(2), training=True)
             assert y.data.min() > 0.0
             return sum_all(mul(y, probe))
 
@@ -559,31 +556,33 @@ def test_batch_norm_relu_matches_unfused_oracle_bit_for_bit(case):
     gamma = Tensor(rng.normal(size=c), requires_grad=True)
     beta = Tensor(rng.normal(size=c), requires_grad=True)
     g = rng.normal(size=shape)
-    running, ref_running = ops.RunningStats(c), ops.RunningStats(c)
-    for stats in (running, ref_running):
-        stats.mean[:] = np.arange(c) * 0.1
-        stats.var[:] = 1.0 + np.arange(c) * 0.5
+    running_mean, running_var = np.arange(c) * 0.1, 1.0 + np.arange(c) * 0.5
+    ref_running = types.SimpleNamespace(mean=running_mean.copy(), var=running_var.copy())
     want = _unfused_bn_relu(x.data, gamma.data, beta.data, ref_running, training, g)
-    y = ops.batch_norm(x, gamma, beta, running, training)
+    y = ops.batch_norm(x, gamma, beta, running_mean, running_var, training)
     backward(sum_all(mul(y, Tensor(g))))
     for got, ref in zip((y.data, x.grad, gamma.grad, beta.grad), want):
         np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(running.mean, ref_running.mean)
-    np.testing.assert_array_equal(running.var, ref_running.var)
+    np.testing.assert_array_equal(running_mean, ref_running.mean)
+    np.testing.assert_array_equal(running_var, ref_running.var)
 
 
-@settings(max_examples=60, deadline=None)
+# the patch sets the same value for every example, so one per test is enough
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_bn_cases())
-def test_batch_norm_var_from_centred_input_equals_numpy_var(case):
+def test_batch_norm_var_from_centred_input_equals_numpy_var(monkeypatch, case):
     # with momentum 0 the running averages hold the batch statistics themselves
+    monkeypatch.setattr(ops, "BN_MOMENTUM", 0.0)
     shape, _, seed = case
     x = np.random.default_rng(seed).normal(loc=3.0, scale=5.0, size=shape)
     axes = tuple(range(x.ndim - 1))
-    running = ops.RunningStats(shape[-1])
-    ops.batch_norm(Tensor(x), Tensor(np.ones(shape[-1])), Tensor(np.zeros(shape[-1])),
-                   running, training=True, momentum=0.0)
-    np.testing.assert_array_equal(running.mean, x.mean(axis=axes))
-    np.testing.assert_array_equal(running.var, x.var(axis=axes))
+    c = shape[-1]
+    running_mean, running_var = np.zeros(c), np.ones(c)
+    ops.batch_norm(Tensor(x), Tensor(np.ones(c)), Tensor(np.zeros(c)),
+                   running_mean, running_var, training=True)
+    np.testing.assert_array_equal(running_mean, x.mean(axis=axes))
+    np.testing.assert_array_equal(running_var, x.var(axis=axes))
 
 
 # ---------------------------------------------------------------------------
