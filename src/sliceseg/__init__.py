@@ -24,7 +24,7 @@ from .phantom import (LabeledVolume, PhantomMetadata, PhantomRecipe,
                       generate_phantom)
 from .training import (AdamState, EvalResult, PlateauSchedule, TrainConfig,
                        TrainHistory, adam_step, build_samples, evaluate,
-                       predict_volume, run_training)
+                       predict_volume, run_training, train_step)
 from .volio import list_case_stems, load_case, save_case
 
 __version__ = "0.1.0"
@@ -45,5 +45,5 @@ __all__ = [
     "load_case", "load_config", "make_folds", "normalize_ct",
     "normalize_zscore", "predict_volume", "run_training", "save_case",
     "save_config", "soft_dice_loss", "structure_depth",
-    "structure_displacement", "structure_size",
+    "structure_displacement", "structure_size", "train_step",
 ]

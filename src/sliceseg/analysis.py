@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,68 +126,30 @@ def count_params(model: SegmentationModel) -> int:
     return sum(t.data.size for t in model.parameters().values())
 
 
-def _model_input_shape(model: SegmentationModel, in_plane: tuple[int, int]) -> tuple[int, ...]:
-    return (1, *in_plane, model.spec.d, model.spec.in_channels)
-
-
-def _traced_forward(model: SegmentationModel, in_plane: tuple[int, int]) -> list[ops.OpCost]:
-    x = Tensor(np.zeros(_model_input_shape(model, in_plane)))
-    records: list[ops.OpCost] = []
-    with ops.cost_trace(records), no_grad():
-        model.forward(x, training=False)
-    return records
-
-
-def _static_costs(model: SegmentationModel, in_plane: tuple[int, int]) -> tuple[int, int]:
-    """FLOPs and activation bytes, both from one traced forward pass. The
-    bytes count every traced layer output plus the input plus the
-    parameters, at 8 bytes per value."""
-    records = _traced_forward(model, in_plane)
-    flops = sum(FLOPS_PER_MAC * r.macs for r in records)
-    values = (sum(math.prod(r.shape) for r in records)
-              + math.prod(_model_input_shape(model, in_plane)) + count_params(model))
-    return flops, BYTES_PER_VALUE * values
-
-
-def count_flops(model: SegmentationModel, in_plane: tuple[int, int]) -> int:
-    """Forward-pass floating point operations for a single input at the
-    given in-plane size, under the 2-FLOPs-per-MAC convention."""
-    return _static_costs(model, in_plane)[0]
-
-
 @dataclass
 class CostReport:
     parameter_count: int
     flop_count: int
     activation_memory_bytes: int
-    seconds_per_training_step: float = float("nan")
-    seconds_per_prediction: float = float("nan")
 
 
-def cost_report(model: SegmentationModel, in_plane: tuple[int, int],
-                timing_batch=None, loss_fn=None) -> CostReport:
-    """Static cost numbers plus optional wall-clock timing of one training
-    step and one single-sample prediction on a caller-supplied batch."""
-    flops, memory = _static_costs(model, in_plane)
-    report = CostReport(parameter_count=count_params(model), flop_count=flops,
-                        activation_memory_bytes=memory)
-    if timing_batch is not None:
-        from .autodiff import backward
-        from .training import AdamState, adam_step
+def cost_report(model: SegmentationModel, in_plane: tuple[int, int]) -> CostReport:
+    """Parameter, FLOP and activation-memory counts from one traced
+    forward pass of a single input at the given in-plane size. The bytes
+    count every traced layer output plus the input plus the parameters,
+    at 8 bytes per value."""
+    x = Tensor(np.zeros((1, *in_plane, model.spec.d, model.spec.in_channels)))
+    records: list[ops.OpCost] = []
+    with ops.cost_trace(records), no_grad():
+        model.forward(x, training=False)
+    params = count_params(model)
+    values = sum(math.prod(r.shape) for r in records) + x.data.size + params
+    return CostReport(parameter_count=params,
+                      flop_count=sum(FLOPS_PER_MAC * r.macs for r in records),
+                      activation_memory_bytes=BYTES_PER_VALUE * values)
 
-        x, y = timing_batch
-        params = model.parameters()
-        state = AdamState(params)
-        t0 = time.perf_counter()
-        for p in params.values():
-            p.grad = None
-        loss = loss_fn(model.forward(Tensor(x), training=True), y)
-        backward(loss)
-        adam_step(params, state, 1e-4)
-        report.seconds_per_training_step = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with no_grad():
-            model.forward(Tensor(x[:1]), training=False)
-        report.seconds_per_prediction = time.perf_counter() - t0
-    return report
 
+def count_flops(model: SegmentationModel, in_plane: tuple[int, int]) -> int:
+    """Forward-pass floating point operations for a single input at the
+    given in-plane size, under the 2-FLOPs-per-MAC convention."""
+    return cost_report(model, in_plane).flop_count

@@ -13,16 +13,19 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
 from . import analysis, volio
+from .autodiff import Tensor, no_grad
 from .config import (ConfigError, ExperimentConfig, SourceConfig, config_to_dict,
                      expand_grid, load_config, save_config)
 from .data import check_fold_sizes, make_folds, normalize_ct, normalize_zscore
 from .models import ModelSpec, SegmentationModel, assemble_model
 from .phantom import LabeledVolume, dataset_presets, generate_cohort
-from .training import EpochRecord, build_samples, evaluate, run_training
+from .training import (AdamState, EpochRecord, build_samples, evaluate, run_training,
+                       train_step)
 
 _PALETTE = (
     (230, 60, 60), (60, 130, 230), (70, 200, 90), (240, 200, 40),
@@ -126,9 +129,10 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
 def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
     """Raise ``ConfigError`` when the loaded cohort cannot serve the config:
     cases whose in-plane shape or channel count differ (only a ``volumes``
-    directory can hold such a cohort), no case with a foreground label, too
-    few cases for ``folds.count``, or a ``patch_depth`` deeper than the
-    shallowest volume."""
+    directory can hold such a cohort), no case with a foreground label, a
+    label below the largest that no case holds, too few cases for
+    ``folds.count``, or a ``patch_depth`` deeper than the shallowest
+    volume."""
     try:
         check_fold_sizes(len(volumes), cfg.folds.count)
     except ValueError as e:
@@ -138,8 +142,15 @@ def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
         if shape != hwc[0]:
             raise ConfigError(f"'source.directory': case {v.patient_id!r} has (H, W, C) "
                               f"{shape}, but case {volumes[0].patient_id!r} has {hwc[0]}")
-    if cohort_num_classes(volumes) < 2:
+    num_classes = cohort_num_classes(volumes)
+    if num_classes < 2:
         raise ConfigError("'source.directory': no case holds a foreground label")
+    present = np.zeros(num_classes, dtype=bool)
+    for v in volumes:
+        present[np.unique(v.labels)] = True
+    if not present.all():
+        raise ConfigError(f"'source.directory': label {int(np.argmin(present))} appears in "
+                          f"no case (largest label {num_classes - 1})")
     depth = min(v.labels.shape[2] for v in volumes)
     if "end2end_3d" in cfg.grid.modes and cfg.grid.patch_depth > depth:
         raise ConfigError(f"'grid.patch_depth': {cfg.grid.patch_depth} is deeper than "
@@ -173,9 +184,8 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
         volio.write_json(os.path.join(cell_dir, "cell.json"), dataclasses.asdict(spec))
         report = analysis.cost_report(assemble_model(spec, seed=0),
                                       volumes[0].image.shape[:2])
-        static = COST_FIELDS[:3]  # a run times nothing, so only the counts
-        volio.write_table(os.path.join(cell_dir, "cost.csv"), static,
-                          [[getattr(report, name) for name in static]])
+        volio.write_table(os.path.join(cell_dir, "cost.csv"), COST_FIELDS,
+                          [dataclasses.astuple(report)])
 
         for fold_index, split in enumerate(folds):
             fold_dir = os.path.join(cell_dir, f"fold{fold_index}")
@@ -287,13 +297,19 @@ def _cmd_profile(args) -> int:
     rows = []
     for spec in expand_grid(cfg.grid, in_channels=c, num_classes=k):
         model = assemble_model(spec, seed=0)
-        samples = build_samples(volumes[:1], spec)[:cfg.train.batch_size]
-        x = np.stack([s.stack for s in samples])
-        y = np.eye(k)[np.stack([s.target for s in samples]).astype(np.int64)]
-        report = analysis.cost_report(model, in_plane, timing_batch=(x, y),
-                                      loss_fn=cfg.train.loss_fn)
-        rows.append([spec.mode, spec.backbone, spec.d, *dataclasses.astuple(report)])
-    volio.write_table(args.out, ["mode", "backbone", "d", *COST_FIELDS], rows)
+        report = analysis.cost_report(model, in_plane)
+        batch = build_samples(volumes[:1], spec)[:cfg.train.batch_size]
+        t0 = time.perf_counter()
+        train_step(model, batch, AdamState(model.parameters()), cfg.train.initial_lr,
+                   cfg.train)
+        t1 = time.perf_counter()
+        with no_grad():
+            model.forward(Tensor(batch[0].stack[None]), training=False)
+        t2 = time.perf_counter()
+        rows.append([spec.mode, spec.backbone, spec.d, *dataclasses.astuple(report),
+                     t1 - t0, t2 - t1])
+    volio.write_table(args.out, ["mode", "backbone", "d", *COST_FIELDS,
+                                 "seconds_per_training_step", "seconds_per_prediction"], rows)
     return 0
 
 

@@ -77,6 +77,12 @@ class AugmentParams:
     elastic_alpha: float = 8.0
 
     def __post_init__(self):
+        if not 0 <= self.probability <= 1:
+            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        for name in ("rotation_degrees", "shear_range", "zoom_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ValueError(f"{name} low end {low} is above its high end {high}")
         # a zero zoom makes the warp matrix singular
         if min(self.zoom_range) <= 0:
             raise ValueError(f"zoom_range values must be positive, got {self.zoom_range}")

@@ -181,6 +181,21 @@ def _forward_batch(model, samples, num_classes: int, training: bool):
     return probs, y
 
 
+def train_step(model: SegmentationModel, batch, state: AdamState, lr: float,
+               config: TrainConfig) -> float:
+    """One optimiser step on a batch of samples: forward, ``config``'s
+    loss, backward and Adam with its L2 penalty. Returns the loss; the
+    step's graph dies on return."""
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    probs, y = _forward_batch(model, batch, model.spec.num_classes, training=True)
+    loss = config.loss_fn(probs, y)
+    backward(loss)
+    adam_step(params, state, lr, config.l2_coefficient, model.decay_parameters())
+    return loss.item()
+
+
 def run_training(model: SegmentationModel, train_samples, val_samples,
                  config: TrainConfig) -> TrainHistory:
     """Adam training with plateau learning-rate drops, early stopping and
@@ -191,10 +206,7 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
     gradients only."""
     if not train_samples or not val_samples:
         raise ValueError("training and validation sets must be non-empty")
-    num_classes = model.spec.num_classes
-    params = model.parameters()
-    decay = model.decay_parameters()
-    state = AdamState(params)
+    state = AdamState(model.parameters())
     schedule = PlateauSchedule(config.initial_lr, config.lr_drop_factor,
                                config.patience_epochs, config.early_stop_epochs,
                                config.min_improvement)
@@ -211,13 +223,7 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
         n_batches = 0
         for batch_idx in _batches(len(train_samples), config.batch_size, order):
             batch = [augment(train_samples[i], config.augment, aug_rng) for i in batch_idx]
-            for p in params.values():
-                p.grad = None
-            probs, y = _forward_batch(model, batch, num_classes, training=True)
-            loss = config.loss_fn(probs, y)
-            backward(loss)
-            adam_step(params, state, schedule.lr, config.l2_coefficient, decay)
-            loss_sum += loss.item()
+            loss_sum += train_step(model, batch, state, schedule.lr, config)
             n_batches += 1
         val_loss, val_dsc = validate(model, val_samples, config)
         train_loss = loss_sum / n_batches

@@ -115,6 +115,10 @@ def load_case(directory, stem: str) -> LabeledVolume:
         raise ValueError(f"{stem}: label file does not hold uint8 data")
     if image.ndim != 4 or labels.ndim != 3 or image.shape[:3] != labels.shape:
         raise ValueError(f"{stem}: image {image.shape} and labels {labels.shape} do not pair")
+    bad = int(np.count_nonzero(~np.isfinite(image)))
+    if bad:
+        # one NaN would turn the whole normalized volume into NaN
+        raise ValueError(f"{stem}: image holds {bad} non-finite value{'s' if bad > 1 else ''}")
     return LabeledVolume(image=image, labels=labels, patient_id=stem)
 
 

@@ -131,6 +131,16 @@ MALFORMED = [
      "'train.augment': zoom_range values must be positive, got (0.0, 0.0)"),
     ("train.augment.zoom_range", [-0.5, 1.1],
      "'train.augment': zoom_range values must be positive, got (-0.5, 1.1)"),
+    ("train.augment.rotation_degrees", [5, -5],
+     "'train.augment': rotation_degrees low end 5.0 is above its high end -5.0"),
+    ("train.augment.shear_range", [0.1, 0.05],
+     "'train.augment': shear_range low end 0.1 is above its high end 0.05"),
+    ("train.augment.zoom_range", [1.1, 0.9],
+     "'train.augment': zoom_range low end 1.1 is above its high end 0.9"),
+    ("train.augment.probability", 1.5,
+     "'train.augment': probability must be in [0, 1], got 1.5"),
+    ("train.augment.probability", -1,
+     "'train.augment': probability must be in [0, 1], got -1.0"),
 ]
 
 
@@ -155,8 +165,9 @@ def test_malformed_config_message(path, value, message):
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
-_pairs = st.tuples(_finite, _finite)
-_positive_pairs = st.tuples(*[st.floats(0.0, 1e6, exclude_min=True)] * 2)
+_pairs = st.tuples(_finite, _finite).map(sorted).map(tuple)
+_positive = st.floats(0.0, 1e6, exclude_min=True)
+_positive_pairs = st.tuples(_positive, _positive).map(sorted).map(tuple)
 
 
 @st.composite
@@ -171,7 +182,7 @@ def _train_configs(draw) -> TrainConfig:
         min_improvement=draw(_finite), l2_coefficient=draw(_finite),
         batch_size=draw(st.integers(1, 10**6)), seed=draw(st.integers()),
         loss=draw(st.sampled_from(("combined", "dice"))),
-        augment=draw(st.builds(AugmentParams, probability=_finite,
+        augment=draw(st.builds(AugmentParams, probability=st.floats(0.0, 1.0),
                                enable_flip=st.booleans(), rotation_degrees=_pairs,
                                shear_range=_pairs, zoom_range=_positive_pairs,
                                elastic_sigma=_finite, elastic_alpha=_finite)))
@@ -422,10 +433,12 @@ def _volumes_config(tmp_path, volumes, **grid) -> str:
     return cfg_path
 
 
-def test_fold_without_finite_epoch_is_null_and_named(tmp_path, capsys):
+def test_fold_without_finite_epoch_is_null_and_named(tmp_path, capsys, monkeypatch):
     volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
-    volumes[2].image[0, 0, 0, 0] = np.nan
     cfg_path = _volumes_config(tmp_path, volumes)
+    # load_case refuses a NaN on disk, so it enters after loading
+    volumes[2].image[0, 0, 0, 0] = np.nan
+    monkeypatch.setattr(cli, "load_source", lambda source: volumes)
     assert cli.main(["run", cfg_path]) == 1
 
     def refuse(constant):
@@ -444,6 +457,14 @@ def test_fold_without_finite_epoch_is_null_and_named(tmp_path, capsys):
     assert cli.main(["aggregate", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err.startswith(named)
     assert not (tmp_path / "run" / "aggregate.csv").exists()
+
+
+def test_non_finite_image_on_disk_exits_before_any_cell(tmp_path, capsys):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    volumes[2].image[0, 0, 0, 0] = np.nan
+    assert cli.main(["run", _volumes_config(tmp_path, volumes)]) == 1
+    assert capsys.readouterr().err == "error: p002: image holds 1 non-finite value\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_volumes_source_too_small_for_folds_exits_before_any_cell(tmp_path, capsys):
@@ -489,6 +510,17 @@ def test_cohort_without_foreground_exits_before_any_cell(tmp_path, capsys, verb)
     assert cli.main([verb, _volumes_config(tmp_path, volumes)]) == 1
     assert capsys.readouterr().err == (
         "error: 'source.directory': no case holds a foreground label\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "profile"])
+def test_cohort_with_a_label_gap_exits_before_any_cell(tmp_path, capsys, verb):
+    volumes = generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)
+    volumes = [dataclasses.replace(v, labels=np.where(v.labels == 1, 0, v.labels))
+               for v in volumes]
+    assert cli.main([verb, _volumes_config(tmp_path, volumes)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'source.directory': label 1 appears in no case (largest label 2)\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -1,4 +1,6 @@
 """Optimizer, schedule, history, and end-to-end training behavior."""
+import gc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,28 @@ def test_run_training_reproducible():
     _, h1, _, _ = train_tiny(seed=1)
     _, h2, _, _ = train_tiny(seed=1)
     assert h1.records == h2.records
+
+
+def _live_graph_nodes() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o.parents)
+
+
+def test_no_graph_outlives_its_training_step(monkeypatch):
+    """When the next batch is augmented, the previous step's graph is gone,
+    also across the validation pass between epochs."""
+    before = _live_graph_nodes()
+    real_augment = training.augment
+    live = []
+
+    def counting_augment(sample, params, rng):
+        live.append(_live_graph_nodes())
+        return real_augment(sample, params, rng)
+
+    monkeypatch.setattr(training, "augment", counting_augment)
+    train_tiny(config=quick_config(max_epochs=2))
+    assert len(live) == 32  # 16 samples per epoch
+    assert live == [before] * len(live)
 
 
 def test_degenerate_channel_mode_matches_2d_trajectory():
