@@ -22,7 +22,7 @@ from .autodiff import Tensor, no_grad
 from .config import (ConfigError, ExperimentConfig, SourceConfig, config_to_dict,
                      expand_grid, load_config, save_config)
 from .data import check_fold_sizes, make_folds, normalize_ct, normalize_zscore
-from .models import ModelSpec, SegmentationModel, assemble_model
+from .models import ModelSpec, assemble_model
 from .phantom import LabeledVolume, dataset_presets, generate_cohort
 from .training import (AdamState, EpochRecord, build_samples, evaluate, run_training,
                        train_step)
@@ -129,7 +129,8 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
 def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
     """Raise ``ConfigError`` when the loaded cohort cannot serve the config:
     cases whose in-plane shape or channel count differ (only a ``volumes``
-    directory can hold such a cohort), no case with a foreground label, a
+    directory can hold such a cohort), an H or W that is not a multiple of
+    8 (both backbones pool three times), no case with a foreground label, a
     label below the largest that no case holds, too few cases for
     ``folds.count``, or a ``patch_depth`` deeper than the shallowest
     volume."""
@@ -142,6 +143,10 @@ def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
         if shape != hwc[0]:
             raise ConfigError(f"'source.directory': case {v.patient_id!r} has (H, W, C) "
                               f"{shape}, but case {volumes[0].patient_id!r} has {hwc[0]}")
+    if hwc[0][0] % 8 or hwc[0][1] % 8:
+        raise ConfigError(f"'source.directory': case {volumes[0].patient_id!r} has (H, W) "
+                          f"{hwc[0][:2]}, but both backbones pool three times, so H and W "
+                          f"must be multiples of 8")
     num_classes = cohort_num_classes(volumes)
     if num_classes < 2:
         raise ConfigError("'source.directory': no case holds a foreground label")
@@ -210,7 +215,8 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
 
 def _fold_score(path: str) -> float:
     """The mean foreground Dice a fold's metrics.json holds; a missing,
-    malformed or unscored file raises ``ValueError`` naming its path."""
+    malformed, unscored or non-finite file raises ``ValueError`` naming its
+    path."""
     if not os.path.exists(path):
         raise ValueError(f"missing result {path}; run the grid to completion first")
     with open(path, "r", encoding="utf-8") as fh:
@@ -226,6 +232,8 @@ def _fold_score(path: str) -> float:
                          f"{metrics.get('stop_reason')} before any finite epoch")
     if type(score) not in (int, float):
         raise ValueError(f"{path} has a 'mean_foreground_dsc' that is not a number: {score!r}")
+    if not -np.inf < score < np.inf:
+        raise ValueError(f"{path} has a non-finite 'mean_foreground_dsc': {score!r}")
     return score
 
 

@@ -2,11 +2,11 @@
 
 The checker treats the function under test as a black box: it runs one
 analytic backward pass, then re-evaluates the function with each selected
-input coordinate nudged by ``+step`` and ``-step`` and compares the central
+input coordinate nudged by ``+STEP`` and ``-STEP`` and compares the central
 difference against the analytic gradient.
 
 A central difference is only a valid derivative oracle where the function
-is smooth across [x - step, x + step]. Piecewise-linear nodes (the ReLU
+is smooth across [x - STEP, x + STEP]. Piecewise-linear nodes (the ReLU
 that ends batch norm, max pooling) create kinks; a coordinate that lands
 near one produces an estimate that changes with the step size.
 Suspicious coordinates are therefore re-probed at a smaller step, and
@@ -22,6 +22,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import Tensor, backward
+
+STEP = 1e-5
+SUSPECT_REL_ERROR = 1e-3
+STABILITY_RATIO = 10.0
 
 
 @dataclass
@@ -46,25 +50,20 @@ def _rel_error(a: float, n: float) -> float:
 
 
 def finite_difference_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
-                            step: float = 1e-5,
                             max_coords_per_tensor: int | None = None,
-                            rng: np.random.Generator | None = None,
-                            suspect_rel_error: float = 1e-3,
-                            stability_ratio: float = 10.0) -> GradCheckReport:
+                            rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic gradients of scalar-valued ``f`` against central
     finite differences.
 
     Checks every coordinate of every input tensor by default. For large
     inputs, ``max_coords_per_tensor`` limits the check to a seeded random
     subset per tensor so the cost stays bounded. Coordinates whose
-    numeric estimate exceeds ``suspect_rel_error`` are re-probed at
-    ``step / stability_ratio``; if the two numeric estimates disagree by
-    more than ``suspect_rel_error`` the coordinate sits on a kink and is
+    numeric estimate exceeds ``SUSPECT_REL_ERROR`` are re-probed at
+    ``STEP / STABILITY_RATIO``; if the two numeric estimates disagree by
+    more than ``SUSPECT_REL_ERROR`` the coordinate sits on a kink and is
     skipped (a genuinely wrong analytic gradient is step-stable and still
     reported).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     inputs = list(inputs)
     for t in inputs:
         t.requires_grad = True
@@ -99,12 +98,12 @@ def finite_difference_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
                 t.data[coord] = orig
                 return (hi - lo) / (2.0 * h)
 
-            numeric = numeric_at(step)
+            numeric = numeric_at(STEP)
             a = float(analytic[ti][coord])
             err = _rel_error(a, numeric)
-            if err > suspect_rel_error:
-                refined = numeric_at(step / stability_ratio)
-                if _rel_error(numeric, refined) > suspect_rel_error:
+            if err > SUSPECT_REL_ERROR:
+                refined = numeric_at(STEP / STABILITY_RATIO)
+                if _rel_error(numeric, refined) > SUSPECT_REL_ERROR:
                     skipped += 1
                     continue
                 numeric = refined

@@ -9,16 +9,17 @@ weight gradient rather than keeping the padded copy or the column matrix
 alive, and gets the input gradient as a correlation of the output
 gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
 
-Column matrices are built in blocks of at most ``_COLUMN_BUDGET`` bytes.
-The forward and the input gradient split the output rows, all N in every
-block: fixed indices on the leading spatial output axes and balanced spans
-of the next one, the first whose inner extent fits. Every output row is the
-same dot product as in one whole product, so the bits do not change. The
-weight gradient sums over every output row, so splitting the rows would
-change its summation order; it splits the columns instead, over the axes
-(*kernel, channel) in the same way, and each group gives its own rows of
-the weight gradient. Windows are gathered through one strided view of the
-padded input, and padding is a zeroed array with the input written inside.
+Both products index one read-only view of the padded input's windows,
+(N, *out, *kernel, C), whose reshape is the column matrix, and copy it in
+blocks of at most ``_COLUMN_BUDGET`` bytes: fixed indices on leading axes
+and balanced spans of the next one, the first whose inner extent fits. The
+forward and the input gradient index the output axes, all N in every
+block. Every output row is the same dot product as in one whole product,
+so the bits do not change. The weight gradient sums over every output row,
+so splitting the rows would change its summation order; it indexes the
+column axes (*kernel, channel) instead, and each block gives its own rows
+of the weight gradient. Padding is a zeroed array with the input written
+inside.
 
 Pooling, unpooling and upsampling share one view of the 2 x ... x 2
 windows, (N, *spatial/2, C, 2**rank), and an adjoint gather/scatter pair on
@@ -93,30 +94,30 @@ def _pad(x: np.ndarray, pads: tuple[int, ...]) -> np.ndarray:
     return xp
 
 
-def _im2col(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
-    """Gather sliding windows of ``kernel`` over the spatial axes of a
-    padded (N, *spatial, C) array into (N * prod(out), prod(kernel) * C).
+def _conv_windows(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
+    """The sliding windows of ``kernel`` over the spatial axes of a padded
+    (N, *spatial, C) array, as a read-only (N, *out, *kernel, C) view.
 
-    Rows run over (n, *out) and columns over (*kernel offset, c), both
-    row-major. A slab ``xp[:, *window, a:b + k - 1]`` gives the rows of one
-    block of :func:`_im2col_matmul`, and windows of a sub-kernel over a slab
-    give a contiguous group of columns (see :func:`_weight_grad`)."""
+    Reshaped to (N * prod(out), prod(kernel) * C) it is the im2col column
+    matrix: rows over (n, *out) and columns over (*kernel offset, c), both
+    row-major. Indexing its output axes gives a block of rows, and indexing
+    its (*kernel, c) axes a contiguous block of columns."""
     rank = len(kernel)
     spatial, strides = xp.shape[1:1 + rank], xp.strides[1:1 + rank]
     out = tuple(s - k + 1 for s, k in zip(spatial, kernel))
     if min(out) < 1:
         # as_strided would read out of bounds without an error
         raise ValueError(f"window {kernel} is larger than input {xp.shape}")
-    win = as_strided(xp, (xp.shape[0], *out, *kernel, xp.shape[-1]),
-                     (xp.strides[0], *strides, *strides, xp.strides[-1]), writeable=False)
-    return win.reshape(xp.shape[0] * math.prod(out), math.prod(kernel) * xp.shape[-1])
+    return as_strided(xp, (xp.shape[0], *out, *kernel, xp.shape[-1]),
+                      (xp.strides[0], *strides, *strides, xp.strides[-1]), writeable=False)
 
 
-def _lead_axis(extents: tuple[int, ...], unit_bytes: int) -> tuple[int, list[tuple[int, int]]]:
-    """The leading axis of a block grid over ``extents`` at ``unit_bytes``
-    per element: the first whose one index, with all of the axes after it,
-    fits the column budget (else the last), and as few balanced spans of it
-    as fit. Blocks fix the axes before it. Balanced spans leave no tiny tail
+def _blocks(extents: tuple[int, ...], unit_bytes: int) -> list[tuple]:
+    """A partition of an array of ``extents`` at ``unit_bytes`` per element
+    into blocks within the column budget, as index tuples in order. Blocks
+    fix one index on each axis before a leading axis, the first whose one
+    index with all of the axes after it fits (else the last), and take as
+    few balanced spans of it as fit. Balanced spans leave no tiny tail
     block, which BLAS may route through a small-matrix or gemv path with
     other rounding; longer spans come first, so each later block fits in
     the heap space an earlier one freed."""
@@ -126,58 +127,48 @@ def _lead_axis(extents: tuple[int, ...], unit_bytes: int) -> tuple[int, list[tup
     count = -(-extents[axis] // max(1, _COLUMN_BUDGET // span_bytes))
     q, r = divmod(extents[axis], count)
     bounds = [i * q + min(i, r) for i in range(count + 1)]
-    return axis, list(zip(bounds[:-1], bounds[1:]))
+    return [(*lead, slice(a, b)) for lead in np.ndindex(*extents[:axis])
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _im2col_matmul(xp: np.ndarray, kernel: tuple[int, ...], out_spatial: tuple[int, ...],
-                   wmat: np.ndarray) -> np.ndarray:
-    """``_im2col(xp, kernel) @ wmat`` as an (N, *out_spatial, cols) array,
-    building the columns in blocks of output rows with all N interleaved:
-    fixed indices on the leading output axes and a span of the next one.
-    Callers pass ``xp`` as a temporary, so a single block frees it before
-    the product."""
-    n, cols = xp.shape[0], wmat.shape[1]
-    row_bytes = n * wmat.shape[0] * xp.itemsize
-    if math.prod(out_spatial) * row_bytes <= _COLUMN_BUDGET:
-        block = _im2col(xp, kernel)
-        del xp
-        return (block @ wmat).reshape((n, *out_spatial, cols))
-    axis, spans = _lead_axis(out_spatial, row_bytes)
-    y = np.empty((n, *out_spatial, cols))
-    for lead in np.ndindex(*out_spatial[:axis]):
-        window = tuple(slice(i, i + k) for i, k in zip(lead, kernel))
-        for a, b in spans:
-            block = _im2col(xp[(slice(None), *window, slice(a, b + kernel[axis] - 1))], kernel)
-            dst = y[(slice(None), *lead, slice(a, b))]
-            dst[...] = (block @ wmat).reshape(dst.shape)
+def _im2col_matmul(win: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """The column matrix of the window view ``win`` (see
+    :func:`_conv_windows`) times ``wmat``, as an (N, *out, cols) array,
+    built in blocks of output rows with all N interleaved. Callers pass
+    ``win`` over a padded temporary, so a single block frees it before the
+    product."""
+    n, out, (k, cols) = win.shape[0], win.shape[1:win.ndim // 2], wmat.shape
+    blocks = _blocks(out, n * k * win.itemsize)
+    if len(blocks) == 1:
+        block = win.reshape(-1, k)
+        del win
+        return (block @ wmat).reshape((n, *out, cols))
+    y = np.empty((n, *out, cols))
+    for index in blocks:
+        dst = y[(slice(None), *index)]
+        dst[...] = (win[(slice(None), *index)].reshape(-1, k) @ wmat).reshape(dst.shape)
     return y
 
 
-def _weight_grad(xp: np.ndarray, kernel: tuple[int, ...], out_spatial: tuple[int, ...],
-                 gmat: np.ndarray) -> np.ndarray:
-    """``_im2col(xp, kernel).T @ gmat``, building the columns in groups over
-    the column axes (*kernel, c): fixed indices on the leading ones and a
-    span of the next one, which is a contiguous block of columns and gives
-    the same rows of the product, summed over the output rows in the same
-    order. Like :func:`_im2col_matmul`, a single block frees ``xp`` before
+def _weight_grad(win: np.ndarray, gmat: np.ndarray) -> np.ndarray:
+    """The transposed column matrix of the window view ``win`` times
+    ``gmat``, as a (*kernel, C, cols) array, built in blocks of columns: a
+    block of the (*kernel, c) axes gives the same rows of the product,
+    summed over the output rows in the same order. Like
+    :func:`_im2col_matmul`, a single block frees the padded input before
     the product."""
-    rank, extents = len(kernel), (*kernel, xp.shape[-1])
-    unit_bytes = gmat.shape[0] * xp.itemsize
-    if math.prod(extents) * unit_bytes <= _COLUMN_BUDGET:
-        block = _im2col(xp, kernel)
-        del xp
-        return block.T @ gmat
-    axis, spans = _lead_axis(extents, unit_bytes)
-    # a span of a kernel axis slides over that output axis; a channel span does not
-    reach = (*out_spatial, 1)[axis] - 1
+    rows, head = gmat.shape[0], win.ndim // 2
+    extents = win.shape[head:]
+    blocks = _blocks(extents, rows * win.itemsize)
+    if len(blocks) == 1:
+        block = win.reshape(rows, -1)
+        del win
+        return (block.T @ gmat).reshape((*extents, gmat.shape[1]))
     dw = np.empty((*extents, gmat.shape[1]))
-    for lead in np.ndindex(*extents[:axis]):
-        window = tuple(slice(k, k + o) for k, o in zip(lead, out_spatial))
-        for a, b in spans:
-            block = _im2col(xp[(slice(None), *window, slice(a, b + reach))],
-                            ((1,) * axis + (b - a,) + kernel[axis + 1:])[:rank])
-            dst = dw[(*lead, slice(a, b))]
-            dst[...] = (block.T @ gmat).reshape(dst.shape)
+    for index in blocks:
+        block = win[(slice(None),) * head + index].reshape(rows, -1)
+        dst = dw[index]
+        dst[...] = (block.T @ gmat).reshape(dst.shape)
     return dw
 
 
@@ -212,7 +203,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"bias shape {b.data.shape} does not match {cout} filters")
 
-    y = _im2col_matmul(_pad(x.data, pads), kernel, out_spatial, w.data.reshape(-1, cout))
+    y = _im2col_matmul(_conv_windows(_pad(x.data, pads), kernel), w.data.reshape(-1, cout))
     if b is not None:
         y += b.data
     n = x.data.shape[0]
@@ -221,15 +212,14 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     def bwd(g):
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
-            accumulate_grad(w, _weight_grad(_pad(x.data, pads), kernel, out_spatial, gmat)
-                            .reshape(w.data.shape))
+            accumulate_grad(w, _weight_grad(_conv_windows(_pad(x.data, pads), kernel), gmat))
         if b is not None and b.requires_grad:
             accumulate_grad(b, gmat.sum(axis=0))
         if x.requires_grad:
             # k-1-p padding makes the correlation come out at x's shape
             gpads = tuple(k - 1 - p for k, p in zip(kernel, pads))
             wflip = np.flip(w.data, tuple(range(rank))).swapaxes(rank, rank + 1)
-            accumulate_grad(x, _im2col_matmul(_pad(g, gpads), kernel, x.data.shape[1:1 + rank],
+            accumulate_grad(x, _im2col_matmul(_conv_windows(_pad(g, gpads), kernel),
                                               wflip.reshape(-1, cin)))
 
     parents = (x, w) if b is None else (x, w, b)

@@ -17,12 +17,9 @@ line for each:
 10. bit-identical aggregate tables from two grid executions
 """
 import dataclasses
-import json
-import os
 import time
 
 import numpy as np
-import pytest
 
 from sliceseg import analysis, cli, ops
 from sliceseg.autodiff import Tensor, backward, mul, softmax, sum_all

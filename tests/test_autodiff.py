@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from sliceseg import autodiff as ad
 from sliceseg.autodiff import Tensor, backward
-from sliceseg.data import extract_stack
 from sliceseg.gradcheck import finite_difference_check
 from sliceseg.losses import combined_loss
 from sliceseg.models import ModelSpec, assemble_model

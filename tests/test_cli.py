@@ -382,7 +382,9 @@ def test_aggregate_refuses_incomplete_run(tmp_path, capsys):
     ('{"epochs": 1, "stop_reason": "max_epochs"}\n', "has no 'mean_foreground_dsc' field"),
     ('{"mean_foreground_dsc": "0.5"}\n',
      "has a 'mean_foreground_dsc' that is not a number: '0.5'"),
-], ids=["truncated", "no_score", "text_score"])
+    ('{"mean_foreground_dsc": NaN}\n', "has a non-finite 'mean_foreground_dsc': nan"),
+    ('{"mean_foreground_dsc": Infinity}\n', "has a non-finite 'mean_foreground_dsc': inf"),
+], ids=["truncated", "no_score", "text_score", "nan_score", "infinite_score"])
 def test_aggregate_names_broken_metrics(make_run_dir, capsys, broken, cause):
     run_dir = make_run_dir({"end2end_2d": (0.7, 0.9)})
     path = os.path.join(run_dir, "cells", "end2end_2d-unet-d01", "fold1", "metrics.json")
@@ -521,6 +523,18 @@ def test_cohort_with_a_label_gap_exits_before_any_cell(tmp_path, capsys, verb):
     assert cli.main([verb, _volumes_config(tmp_path, volumes)]) == 1
     assert capsys.readouterr().err == (
         "error: 'source.directory': label 1 appears in no case (largest label 2)\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "profile"])
+def test_cohort_off_the_pooling_grid_exits_before_any_cell(tmp_path, capsys, verb):
+    # both backbones pool three times, so 28 x 28 would reach an odd 7 x 7
+    volumes = [dataclasses.replace(v, image=v.image[:28, :28], labels=v.labels[:28, :28])
+               for v in generate_cohort(dataset_presets()["organ_and_lesion"], 6, seed=0)]
+    assert cli.main([verb, _volumes_config(tmp_path, volumes)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: 'source.directory': case {volumes[0].patient_id!r} has (H, W) (28, 28), "
+        "but both backbones pool three times, so H and W must be multiples of 8\n")
     assert not (tmp_path / "run").exists()
 
 

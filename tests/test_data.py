@@ -1,6 +1,5 @@
 """Preprocessing, augmentation, fold splitting, case serialization, and
 the JSON and CSV writers."""
-import os
 import struct
 
 import numpy as np

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sliceseg import ops
-from sliceseg.autodiff import Tensor, backward, mean_all, mul, sum_all
+from sliceseg.autodiff import Tensor, backward, mul, sum_all
 from sliceseg.gradcheck import finite_difference_check
 
 
@@ -72,7 +72,7 @@ def test_conv_rejects_bias_shape_before_any_work(monkeypatch):
     def no_columns(*args):
         raise AssertionError("columns built before the bias was checked")
 
-    monkeypatch.setattr(ops, "_im2col", no_columns)
+    monkeypatch.setattr(ops, "_conv_windows", no_columns)
     with pytest.raises(ValueError, match=r"bias shape \(3,\) does not match 2 filters"):
         ops.conv_forward(rand((1, 4, 4, 1)), rand((3, 3, 1, 2)), Tensor(np.zeros(3)),
                          (True, True))
@@ -166,7 +166,7 @@ def test_conv_input_grad_matches_scatter_reference(case):
 
 
 def _columns(xp, kernel):
-    """Reference column matrix, built independently of ``ops._im2col``:
+    """Reference column matrix, built independently of ``ops._conv_windows``:
     a sliding-window view moved to (N, *out, *kernel, C) and copied."""
     rank = len(kernel)
     win = sliding_window_view(xp, kernel, axis=tuple(range(1, 1 + rank)))
@@ -176,7 +176,8 @@ def _columns(xp, kernel):
 
 @st.composite
 def _window_cases(draw):
-    # a slice of a larger array on every axis, like the slabs the blockers pass
+    # a slice of a larger array on every axis, so the view's strides are not
+    # those of a contiguous array
     rank = draw(st.sampled_from((2, 3)))
     kernel = tuple(draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank)))
     shape = (draw(st.integers(1, 3)), *(k + draw(st.integers(0, 3)) for k in kernel),
@@ -191,12 +192,14 @@ def test_im2col_equals_sliding_window_columns(case):
     shape, starts, kernel, seed = case
     base = np.random.default_rng(seed).normal(size=tuple(s + 2 * o for s, o in zip(shape, starts)))
     xp = base[tuple(slice(o, o + s) for s, o in zip(shape, starts))]
-    np.testing.assert_array_equal(ops._im2col(xp, kernel), _columns(xp, kernel))
+    win, want = ops._conv_windows(xp, kernel), _columns(xp, kernel)
+    assert not win.flags.writeable
+    np.testing.assert_array_equal(win.reshape(want.shape), want)
 
 
 def test_im2col_rejects_window_larger_than_input():
     with pytest.raises(ValueError, match=r"window \(3, 3\) is larger than input \(1, 2, 4, 1\)"):
-        ops._im2col(np.zeros((1, 2, 4, 1)), (3, 3))
+        ops._conv_windows(np.zeros((1, 2, 4, 1)), (3, 3))
 
 
 @settings(deadline=None, max_examples=40)
@@ -276,14 +279,15 @@ def test_blocked_conv_equals_monolithic_columns_at_one_blas_thread():
 def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shape, cout,
                                                              padded):
     built = []
-    real_im2col = ops._im2col
+    real_blocks = ops._blocks
 
-    def spy(xp, kernel):
-        cols = real_im2col(xp, kernel)
-        built.append(cols.nbytes)
-        return cols
+    def spy(extents, unit_bytes):
+        blocks = real_blocks(extents, unit_bytes)
+        # the bytes of each block's copy: its element count at unit_bytes each
+        built.extend(np.broadcast_to(0, extents)[index].size * unit_bytes for index in blocks)
+        return blocks
 
-    monkeypatch.setattr(ops, "_im2col", spy)
+    monkeypatch.setattr(ops, "_blocks", spy)
     x = rand(x_shape, seed=1)
     x.requires_grad = True
     kernel = (3,) * len(padded)

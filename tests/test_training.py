@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sliceseg import training
-from sliceseg.autodiff import Tensor, backward
+from sliceseg.autodiff import Tensor
 from sliceseg.data import extract_stack
-from sliceseg.losses import combined_loss
 from sliceseg.models import ModelSpec, assemble_model
 from sliceseg.phantom import PhantomRecipe, StructureRecipe, generate_cohort
 from sliceseg.training import (AdamState, PlateauSchedule, TrainConfig, adam_step,
