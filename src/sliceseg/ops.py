@@ -19,7 +19,9 @@ so the bits do not change. The weight gradient sums over every output row,
 so splitting the rows would change its summation order; it indexes the
 column axes (*kernel, channel) instead, and each block gives its own rows
 of the weight gradient. Padding is a zeroed array with the input written
-inside.
+inside. The bias gradient, like batch norm's statistics and gradients, is a
+sum over positions by ``autodiff._channel_sum``: einsum in numpy's reduce
+order, so the same bits at a fraction of the reduce's per-position cost.
 
 Pooling, unpooling and upsampling share one view of the 2 x ... x 2
 windows, (N, *spatial/2, C, 2**rank), and an adjoint gather/scatter pair on
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tensor, _node, accumulate_grad
+from .autodiff import Tensor, _channel_sum, _node, accumulate_grad
 
 # Byte budget for one block of columns. On a 2-vCPU Xeon (OpenBLAS 0.3.31,
 # one thread) predict_volume ran about 30% faster with 4 MiB blocks than with
@@ -214,7 +216,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
         if w.requires_grad:
             accumulate_grad(w, _weight_grad(_conv_windows(_pad(x.data, pads), kernel), gmat))
         if b is not None and b.requires_grad:
-            accumulate_grad(b, gmat.sum(axis=0))
+            accumulate_grad(b, _channel_sum(gmat))
         if x.requires_grad:
             # k-1-p padding makes the correlation come out at x's shape
             gpads = tuple(k - 1 - p for k, p in zip(kernel, pads))
@@ -336,21 +338,23 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     elementwise order of a separate batch norm followed by
     ``y * (y > 0)``, so results match that pair bit for bit. The node
     keeps the ReLU mask, ``mean`` and ``inv_std``; backward recomputes
-    ``xhat = (x - mean) * inv_std`` from ``x`` in both modes.
+    ``xhat = (x - mean) * inv_std`` from ``x`` in both modes. Every sum
+    over positions, forward and backward, is one ``_channel_sum`` call,
+    which needs no product temporary and adds in numpy's reduce order.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("batch norm scale/offset must have one value per channel")
-    axes = tuple(range(x.data.ndim - 1))
     m = math.prod(x.data.shape[:-1])
     if m == 0:
         raise ValueError("batch norm requires a non-empty batch")
 
     if training:
-        mean = x.data.mean(axis=axes)
+        # numpy's mean and var divide a reduce's sum by m, and _channel_sum
+        # adds in that reduce's order, so these equal x.mean and x.var bit for bit
+        mean = _channel_sum(x.data) / m
         y = x.data - mean
-        # numpy's own var steps, so this equals x.var(axis=axes) bit for bit
-        var = (y * y).sum(axis=axes) / m
+        var = _channel_sum(y, y) / m
         running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
         running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     else:
@@ -369,14 +373,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         g = g * mask
         xhat = (x.data - mean) * inv_std
         if gamma.requires_grad:
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
+            accumulate_grad(gamma, _channel_sum(g, xhat))
         if beta.requires_grad:
-            accumulate_grad(beta, g.sum(axis=axes))
+            accumulate_grad(beta, _channel_sum(g))
         if x.requires_grad:
             if training:
                 # (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) * inv_std, in place
                 gx = g * gamma.data
-                shift, scale = gx.mean(axis=axes), (gx * xhat).mean(axis=axes)
+                shift, scale = _channel_sum(gx) / m, _channel_sum(gx, xhat) / m
                 gx -= shift
                 xhat *= scale
                 gx -= xhat

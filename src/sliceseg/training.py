@@ -31,8 +31,13 @@ class TrainConfig:
     augment: AugmentParams = field(default_factory=AugmentParams)
 
     def __post_init__(self):
-        if self.initial_lr <= 0 or not 0 < self.lr_drop_factor < 1:
-            raise ValueError("initial_lr must be positive and lr_drop_factor in (0, 1)")
+        if not 0 < self.initial_lr < np.inf:
+            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
+        if not 0 < self.lr_drop_factor < 1:
+            raise ValueError(f"lr_drop_factor must be in (0, 1), got {self.lr_drop_factor}")
+        if not 0 <= self.l2_coefficient < np.inf:
+            raise ValueError(
+                f"l2_coefficient must be non-negative and finite, got {self.l2_coefficient}")
         if self.patience_epochs < 1 or self.early_stop_epochs < self.patience_epochs:
             raise ValueError("early_stop_epochs must be >= patience_epochs >= 1")
         if self.max_epochs < 1 or self.batch_size < 1:
@@ -60,8 +65,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
     """One bias-corrected Adam update from the gradients stored on the
     parameters. The L2 penalty enters as 2 * l2 * w added to the gradient
     of the named parameters before the moment updates."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     state.t += 1
     t = state.t
     for name, p in params.items():
@@ -249,6 +254,8 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
 def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[float, float]:
     """Mean validation loss plus sample-level mean foreground overlap,
     building no graph."""
+    if not samples:
+        raise ValueError("no samples to validate")
     num_classes = model.spec.num_classes
     loss_sum = 0.0
     dsc_sum = 0.0

@@ -91,8 +91,37 @@ def test_clip_values_and_gradient_mask():
 def test_sum_axes_and_mean():
     x = t(np.arange(24.0).reshape(2, 3, 4))
     assert np.allclose(ad.sum_axes(x, (0, 2)).data, x.data.sum(axis=(0, 2)))
+    # every axis but the last goes through _channel_sum, in numpy's order
+    y = Tensor(np.random.default_rng(3).normal(size=(2, 5, 7, 3)))
+    for axes in ((0, 1, 2), (-4, -3, -2)):
+        np.testing.assert_array_equal(ad.sum_axes(y, axes).data, y.data.sum(axis=axes))
     assert np.isclose(ad.mean_all(x).data, x.data.mean())
     assert np.isclose(ad.sum_all(x).data, x.data.sum())
+
+
+@st.composite
+def _channel_sum_cases(draw):
+    rank = draw(st.integers(2, 5))
+    lead = tuple(draw(st.lists(st.integers(1, 6 if rank < 5 else 4),
+                               min_size=rank - 1, max_size=rank - 1)))
+    c = draw(st.integers(1, 64))
+    # a channel slice of a wider array, as concat's backward passes on:
+    # its leading axes still merge, but a row is not contiguous with the next
+    lo, hi = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return lead, c, (lo, hi), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_channel_sum_cases())
+def test_channel_sum_equals_numpy_reduce_bit_for_bit(case):
+    lead, c, (lo, hi), seed = case
+    rng = np.random.default_rng(seed)
+    axes = tuple(range(len(lead)))
+    a = rng.normal(size=(*lead, c)) * 10.0 ** rng.uniform(-3, 3, size=c)
+    b = rng.normal(size=(*lead, lo + c + hi))[..., lo:lo + c]
+    for x, y in ((a, b), (b, a)):
+        np.testing.assert_array_equal(ad._channel_sum(x), x.sum(axis=axes))
+        np.testing.assert_array_equal(ad._channel_sum(x, y), (x * y).sum(axis=axes))
 
 
 def test_concat_values():

@@ -110,6 +110,8 @@ MALFORMED = [
     ("train.augment", [1], "'train.augment' must be an object"),
     ("train.loss", "focal", "'train': unknown loss 'focal'"),
     ("train.patience_epochs", 0, "'train': early_stop_epochs must be >= patience_epochs >= 1"),
+    ("train.l2_coefficient", -1e-5,
+     "'train': l2_coefficient must be non-negative and finite, got -1e-05"),
     ("folds.count", 1, "'folds.count' must be at least 2"),
     ("grid.modes", ["nope"],
      "'grid.modes' entry 'nope' not in ('end2end_2d', 'proposed', 'channel_based', 'end2end_3d')"),
@@ -179,7 +181,7 @@ def _train_configs(draw) -> TrainConfig:
         patience_epochs=patience,
         early_stop_epochs=draw(st.integers(patience, 100)),
         max_epochs=draw(st.integers(1, 10**6)),
-        min_improvement=draw(_finite), l2_coefficient=draw(_finite),
+        min_improvement=draw(_finite), l2_coefficient=draw(st.floats(0.0, 1e6)),
         batch_size=draw(st.integers(1, 10**6)), seed=draw(st.integers()),
         loss=draw(st.sampled_from(("combined", "dice"))),
         augment=draw(st.builds(AugmentParams, probability=st.floats(0.0, 1.0),

@@ -546,7 +546,7 @@ def _bn_cases(draw):
     rank = draw(st.sampled_from((2, 3)))
     shape = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(1, 5), min_size=rank,
                                                      max_size=rank)),
-             draw(st.integers(1, 8)))
+             draw(st.integers(1, 64)))
     return shape, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 

@@ -56,6 +56,17 @@ def test_adam_rejects_nonpositive_lr():
         adam_step({"w": w}, AdamState({"w": w}), lr=0.0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_adam_rejects_non_finite_lr_before_any_update(lr):
+    w = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    w.grad = np.array([0.3, -0.1, 2.0])
+    state = AdamState({"w": w})
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        adam_step({"w": w}, state, lr)
+    np.testing.assert_array_equal(w.data, [1.0, -2.0, 0.5])
+    assert state.t == 0
+
+
 # ---------------------------------------------------------------------------
 # plateau schedule
 
@@ -375,3 +386,20 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(loss="focal")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("initial_lr", float("nan")), ("initial_lr", float("inf")),
+    ("l2_coefficient", -1e-5), ("l2_coefficient", float("nan")),
+    ("l2_coefficient", float("inf")),
+])
+def test_config_rejects_non_finite_or_negative_rates_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+        TrainConfig(**{field: value})
+
+
+def test_validate_rejects_no_samples():
+    spec = ModelSpec(mode="end2end_2d", backbone="unet", d=1, in_channels=1,
+                     num_classes=3, base_filters=4)
+    with pytest.raises(ValueError, match="^no samples to validate$"):
+        validate(assemble_model(spec, seed=0), [], quick_config())
