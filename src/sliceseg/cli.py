@@ -21,9 +21,9 @@ from . import analysis, volio
 from .autodiff import Tensor, no_grad
 from .config import (ConfigError, ExperimentConfig, SourceConfig, config_to_dict,
                      expand_grid, load_config, save_config)
-from .data import check_fold_sizes, make_folds, normalize_ct, normalize_zscore
+from .data import NORMALIZERS, check_fold_sizes, make_folds
 from .models import ModelSpec, assemble_model
-from .phantom import LabeledVolume, dataset_presets, generate_cohort
+from .phantom import LabeledVolume, dataset_preset, generate_cohort
 from .training import (AdamState, EpochRecord, build_samples, evaluate, run_training,
                        train_step)
 
@@ -38,31 +38,21 @@ COST_FIELDS = [f.name for f in dataclasses.fields(analysis.CostReport)]
 # data source
 
 
-def _normalize_volume(vol: LabeledVolume, how: str) -> LabeledVolume:
-    if how == "none":
-        return vol
-    fn = normalize_ct if how == "ct" else normalize_zscore
-    return dataclasses.replace(vol, image=fn(vol.image))
-
-
 def load_source(source: SourceConfig) -> list[LabeledVolume]:
     """Materialize the configured cohort, normalized and ready to train on."""
     if source.kind == "phantom":
-        presets = dataset_presets()
-        if source.preset not in presets:
-            raise ConfigError(f"unknown phantom preset {source.preset!r}"
-                              f" (available: {', '.join(sorted(presets))})")
-        volumes = generate_cohort(presets[source.preset], source.num_volumes,
+        volumes = generate_cohort(dataset_preset(source.preset), source.num_volumes,
                                   seed=source.seed)
     else:
         stems = volio.list_case_stems(source.directory)
         volumes = [volio.load_case(source.directory, s) for s in stems]
-    return [_normalize_volume(v, source.normalization) for v in volumes]
+    normalize = NORMALIZERS[source.normalization]
+    return [dataclasses.replace(v, image=normalize(v.image)) for v in volumes]
 
 
-def cohort_num_classes(volumes: list[LabeledVolume]) -> int:
-    """Label count of a cohort: one more than the largest label in any volume."""
-    return int(max(v.labels.max() for v in volumes)) + 1
+def cohort_num_classes(labels: list[np.ndarray]) -> int:
+    """Label count of a cohort's label maps: one more than the largest label."""
+    return int(max(m.max() for m in labels)) + 1
 
 
 def source_fingerprint(volumes: list[LabeledVolume]) -> str:
@@ -126,9 +116,10 @@ def _train_one_fold(spec: ModelSpec, cfg: ExperimentConfig, fold_index: int,
     return metrics
 
 
-def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
-    """Raise ``ConfigError`` when the loaded cohort cannot serve the config:
-    cases whose in-plane shape or channel count differ (only a ``volumes``
+def _cohort_cells(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> list[ModelSpec]:
+    """The grid's cells at the loaded cohort's channel and class counts.
+    Raises ``ConfigError`` when the cohort cannot serve the config: cases
+    whose in-plane shape or channel count differ (only a ``volumes``
     directory can hold such a cohort), an H or W that is not a multiple of
     8 (both backbones pool three times), no case with a foreground label, a
     label below the largest that no case holds, too few cases for
@@ -147,7 +138,7 @@ def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
         raise ConfigError(f"'source.directory': case {volumes[0].patient_id!r} has (H, W) "
                           f"{hwc[0][:2]}, but both backbones pool three times, so H and W "
                           f"must be multiples of 8")
-    num_classes = cohort_num_classes(volumes)
+    num_classes = cohort_num_classes([v.labels for v in volumes])
     if num_classes < 2:
         raise ConfigError("'source.directory': no case holds a foreground label")
     present = np.zeros(num_classes, dtype=bool)
@@ -160,6 +151,7 @@ def _check_cohort(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> None:
     if "end2end_3d" in cfg.grid.modes and cfg.grid.patch_depth > depth:
         raise ConfigError(f"'grid.patch_depth': {cfg.grid.patch_depth} is deeper than "
                           f"the shallowest volume ({depth} slices)")
+    return expand_grid(cfg.grid, in_channels=hwc[0][2], num_classes=num_classes)
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
@@ -170,12 +162,10 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
     table path.
     """
     volumes = load_source(cfg.source)
-    _check_cohort(cfg, volumes)
+    cells = _cohort_cells(cfg, volumes)
     fingerprint = source_fingerprint(volumes)
     by_id = {v.patient_id: v for v in volumes}
     folds = make_folds(sorted(by_id), num_folds=cfg.folds.count, seed=cfg.folds.seed)
-    cells = expand_grid(cfg.grid, in_channels=volumes[0].image.shape[-1],
-                        num_classes=cohort_num_classes(volumes))
 
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.json"))
@@ -219,11 +209,7 @@ def _fold_score(path: str) -> float:
     path."""
     if not os.path.exists(path):
         raise ValueError(f"missing result {path}; run the grid to completion first")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            metrics = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path} is not valid JSON: {e}") from e
+    metrics = volio.read_json(path)
     if not isinstance(metrics, dict) or "mean_foreground_dsc" not in metrics:
         raise ValueError(f"{path} has no 'mean_foreground_dsc' field")
     score = metrics["mean_foreground_dsc"]
@@ -299,11 +285,9 @@ def _cmd_aggregate(args) -> int:
 def _cmd_profile(args) -> int:
     cfg = load_config(args.config)
     volumes = load_source(cfg.source)
-    _check_cohort(cfg, volumes)
-    k, c = cohort_num_classes(volumes), volumes[0].image.shape[-1]
     in_plane = volumes[0].image.shape[:2]
     rows = []
-    for spec in expand_grid(cfg.grid, in_channels=c, num_classes=k):
+    for spec in _cohort_cells(cfg, volumes):
         model = assemble_model(spec, seed=0)
         report = analysis.cost_report(model, in_plane)
         batch = build_samples(volumes[:1], spec)[:cfg.train.batch_size]
@@ -324,7 +308,7 @@ def _cmd_profile(args) -> int:
 def _cmd_features(args) -> int:
     stems = volio.list_case_stems(args.dir)
     labels = [volio.load_case(args.dir, s).labels for s in stems]
-    num_classes = int(max(v.max() for v in labels)) + 1
+    num_classes = cohort_num_classes(labels)
     if num_classes < 2:
         raise ValueError("no foreground classes present in the volume directory")
     rows = analysis.class_feature_table(labels, num_classes)
@@ -355,12 +339,9 @@ def _cmd_generate(args) -> int:
         raise ValueError(f"count must be at least 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    presets = dataset_presets()
-    if args.preset not in presets:
-        raise ValueError(f"unknown preset {args.preset!r}"
-                         f" (available: {', '.join(sorted(presets))})")
+    recipe = dataset_preset(args.preset)  # before any directory is made
     os.makedirs(args.dir, exist_ok=True)
-    for volume in generate_cohort(presets[args.preset], args.count, seed=args.seed):
+    for volume in generate_cohort(recipe, args.count, seed=args.seed):
         volio.save_case(args.dir, volume)
         print(f"wrote {volume.patient_id}")
     return 0

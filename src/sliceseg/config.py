@@ -5,17 +5,16 @@ field path, so typos in grid definitions cannot silently change a run.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from . import volio
-from .data import check_fold_sizes
+from .data import NORMALIZERS, check_fold_sizes
 from .models import BACKBONES, MODES, ModelSpec
 from .training import TrainConfig
 
-NORMALIZATIONS = ("zscore", "ct", "none")
+NORMALIZATIONS = tuple(NORMALIZERS)
 
 
 class ConfigError(ValueError):
@@ -153,7 +152,7 @@ def _parse_value(tp, v, path: str):
         value = float(v)
     except OverflowError:  # an integer beyond the float range
         value = math.inf
-    if not math.isfinite(value):  # json.load reads NaN and Infinity
+    if not math.isfinite(value):  # JSON readers accept NaN and Infinity
         raise ConfigError(f"'{path}' must be a finite number, got {v!r}")
     return value
 
@@ -192,12 +191,7 @@ def config_to_dict(c: ExperimentConfig) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path} is not valid JSON: {e}") from e
-    return config_from_dict(raw)
+    return config_from_dict(volio.read_json(path))
 
 
 def save_config(c: ExperimentConfig, path: str) -> None:

@@ -280,3 +280,12 @@ def dataset_presets() -> dict[str, PhantomRecipe]:
                         s(kind="cylinder", radius_range=(2, 3), depth_range=(4, 7),
                           drift_range=(0.2, 0.7), intensity=2.4))),
     }
+
+
+def dataset_preset(name: str) -> PhantomRecipe:
+    """One preset's recipe; an unknown name raises ``ValueError`` listing all."""
+    presets = dataset_presets()
+    if name not in presets:
+        raise ValueError(f"unknown phantom preset {name!r}"
+                         f" (available: {', '.join(sorted(presets))})")
+    return presets[name]

@@ -38,6 +38,10 @@ class TrainConfig:
         if not 0 <= self.l2_coefficient < np.inf:
             raise ValueError(
                 f"l2_coefficient must be non-negative and finite, got {self.l2_coefficient}")
+        # a negative threshold counts a small rise as an improvement
+        if not 0 <= self.min_improvement < np.inf:
+            raise ValueError(
+                f"min_improvement must be non-negative and finite, got {self.min_improvement}")
         if self.patience_epochs < 1 or self.early_stop_epochs < self.patience_epochs:
             raise ValueError("early_stop_epochs must be >= patience_epochs >= 1")
         if self.max_epochs < 1 or self.batch_size < 1:

@@ -1,4 +1,4 @@
-"""Every file the lab writes: .ssv volumes, JSON records, CSV tables.
+"""Reading and writing the lab's files: .ssv volumes, JSON, CSV tables.
 
 JSON records are sorted, 2-space indented and end in a newline; NaN and
 infinities are refused. CSV tables are a header line, then one line per
@@ -41,6 +41,15 @@ def write_json(path, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def read_json(path):
+    """Parse one JSON file; text that is not JSON raises ``ValueError``
+    naming ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from e
 
 
 def write_table(path, header, rows) -> None:

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from sliceseg import analysis, cli, ops
-from sliceseg.autodiff import Tensor, backward, mul, softmax, sum_all
+from sliceseg.autodiff import Tensor, mul, softmax, sum_all
 from sliceseg.config import config_from_dict
 from sliceseg.data import AugmentParams, normalize_ct, normalize_zscore
 from sliceseg.gradcheck import finite_difference_check
@@ -33,8 +33,8 @@ from sliceseg.models import (TRANSITION_WIDTH, ModelSpec, TransitionBlock,
 from sliceseg.phantom import (PhantomRecipe, StructureRecipe, dataset_presets,
                               generate_cohort, generate_phantom)
 from sliceseg.training import (AdamState, PlateauSchedule, TrainConfig,
-                               adam_step, build_samples, predict_volume,
-                               run_training)
+                               build_samples, predict_volume, run_training,
+                               train_step)
 
 SEEDS = range(20)
 
@@ -218,8 +218,8 @@ def test_criterion_5_overfit_smoke():
                            in_channels=1, num_classes=3, base_filters=16)
     model = assemble_model(model_spec, seed=0)
     samples = build_samples(volumes, model_spec)
-    params = model.parameters()
-    state = AdamState(params)
+    state = AdamState(model.parameters())
+    step_cfg = TrainConfig(l2_coefficient=0.0)
     shuffle = np.random.default_rng(0)
 
     def train_dsc():
@@ -233,13 +233,7 @@ def test_criterion_5_overfit_smoke():
         order = shuffle.permutation(len(samples))
         for i in range(0, len(order), 8):
             batch = [samples[j] for j in order[i:i + 8]]
-            x = np.stack([s.stack for s in batch])
-            y = np.eye(3)[np.stack([s.target for s in batch]).astype(np.int64)]
-            for p in params.values():
-                p.grad = None
-            loss = combined_loss(model.forward(Tensor(x), training=True), Tensor(y))
-            backward(loss)
-            adam_step(params, state, lr=1e-3)
+            train_step(model, batch, state, 1e-3, step_cfg)
         if epoch % 5 == 0 and train_dsc() > 0.95:
             reached = epoch
             break

@@ -112,6 +112,10 @@ MALFORMED = [
     ("train.patience_epochs", 0, "'train': early_stop_epochs must be >= patience_epochs >= 1"),
     ("train.l2_coefficient", -1e-5,
      "'train': l2_coefficient must be non-negative and finite, got -1e-05"),
+    ("train.min_improvement", -1.0,
+     "'train': min_improvement must be non-negative and finite, got -1.0"),
+    ("train.augment.elastic_sigma", -3.0,
+     "'train.augment': elastic_sigma must be non-negative and finite, got -3.0"),
     ("folds.count", 1, "'folds.count' must be at least 2"),
     ("grid.modes", ["nope"],
      "'grid.modes' entry 'nope' not in ('end2end_2d', 'proposed', 'channel_based', 'end2end_3d')"),
@@ -168,6 +172,7 @@ def test_malformed_config_message(path, value, message):
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 _pairs = st.tuples(_finite, _finite).map(sorted).map(tuple)
+_non_negative = st.floats(0.0, 1e6)
 _positive = st.floats(0.0, 1e6, exclude_min=True)
 _positive_pairs = st.tuples(_positive, _positive).map(sorted).map(tuple)
 
@@ -181,13 +186,13 @@ def _train_configs(draw) -> TrainConfig:
         patience_epochs=patience,
         early_stop_epochs=draw(st.integers(patience, 100)),
         max_epochs=draw(st.integers(1, 10**6)),
-        min_improvement=draw(_finite), l2_coefficient=draw(st.floats(0.0, 1e6)),
+        min_improvement=draw(_non_negative), l2_coefficient=draw(_non_negative),
         batch_size=draw(st.integers(1, 10**6)), seed=draw(st.integers()),
         loss=draw(st.sampled_from(("combined", "dice"))),
         augment=draw(st.builds(AugmentParams, probability=st.floats(0.0, 1.0),
                                enable_flip=st.booleans(), rotation_degrees=_pairs,
                                shear_range=_pairs, zoom_range=_positive_pairs,
-                               elastic_sigma=_finite, elastic_alpha=_finite)))
+                               elastic_sigma=_non_negative, elastic_alpha=_finite)))
 
 
 @st.composite
@@ -290,6 +295,33 @@ def test_unknown_key_exits_nonzero(tmp_path, capsys):
 def test_missing_config_file_exits_nonzero(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_that_is_not_json_exits_nonzero_naming_it(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"grid": {"modes": ["proposed"]\n')
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON: Expecting ',' delimiter")
+    assert "Traceback" not in err
+
+
+_UNKNOWN_PRESET = ("error: unknown phantom preset 'nope'"
+                   f" (available: {', '.join(sorted(dataset_presets()))})\n")
+
+
+@pytest.mark.parametrize("verb", ["run", "profile"])
+def test_unknown_preset_in_config_exits_before_any_output(tmp_path, capsys, verb):
+    raw = tiny_config(str(tmp_path / "run"))
+    raw["source"]["preset"] = "nope"
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    assert cli.main([verb, path]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _UNKNOWN_PRESET)
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +438,8 @@ def test_class_count_spans_the_whole_cohort(tmp_path, capsys):
         first, labels=np.where(first.labels == top, 0, first.labels).astype(first.labels.dtype))
     for volume in volumes:
         volio.save_case(cases, volume)
-    assert cli.cohort_num_classes(volumes[:1]) == top
-    assert cli.cohort_num_classes(volumes) == top + 1
+    assert cli.cohort_num_classes([v.labels for v in volumes[:1]]) == top
+    assert cli.cohort_num_classes([v.labels for v in volumes]) == top + 1
 
     raw = tiny_config(str(tmp_path / "run"))
     raw["source"] = {"kind": "volumes", "directory": cases}
@@ -627,8 +659,9 @@ def test_generate_names_a_bad_argument(tmp_path, capsys, args, message):
 
 
 def test_generate_unknown_preset(tmp_path, capsys):
-    assert cli.main(["generate", "nonesuch", "1", str(tmp_path)]) == 1
-    assert "available:" in capsys.readouterr().err
+    assert cli.main(["generate", "nope", "1", str(tmp_path / "cases")]) == 1
+    assert capsys.readouterr().err == _UNKNOWN_PRESET
+    assert not (tmp_path / "cases").exists()
 
 
 def test_features_verb_matches_direct_analysis(tmp_path, capsys):
@@ -650,6 +683,15 @@ def test_features_verb_matches_direct_analysis(tmp_path, capsys):
         assert float(depth) == want["depth"]
         assert float(size) == want["size_fraction"]
         assert float(disp) == want["displacement"]
+
+
+def test_features_verb_without_foreground_exits_nonzero(tmp_path, capsys):
+    for v in generate_cohort(dataset_presets()["organ_and_lesion"], 2, seed=0):
+        volio.save_case(tmp_path, dataclasses.replace(v, labels=np.zeros_like(v.labels)))
+    assert cli.main(["features", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: no foreground classes present in the volume directory\n")
 
 
 def test_profile_csv_shape(grid_run, tmp_path):

@@ -1,5 +1,6 @@
-"""Preprocessing, augmentation, fold splitting, case serialization, and
-the JSON and CSV writers."""
+"""Preprocessing, augmentation, fold splitting, case serialization, the
+JSON reader and writer, and the CSV writer."""
+import re
 import struct
 
 import numpy as np
@@ -137,6 +138,14 @@ def test_augment_deterministic_given_rng_seed():
     b = augment(s, params, np.random.default_rng(42))
     assert np.array_equal(a.stack, b.stack)
     assert np.array_equal(a.target, b.target)
+
+
+@pytest.mark.parametrize("sigma", [-3.0, float("nan"), float("inf")])
+def test_augment_params_reject_negative_or_non_finite_elastic_sigma(sigma):
+    # gaussian_filter would skip smoothing at a negative sigma
+    with pytest.raises(ValueError,
+                       match=f"^elastic_sigma must be non-negative and finite, got {sigma}$"):
+        AugmentParams(elastic_sigma=sigma)
 
 
 def test_augment_3d_target():
@@ -330,3 +339,13 @@ def test_json_record_refuses_nan_and_writes_nothing(tmp_path):
         with pytest.raises(ValueError):
             volio.write_json(tmp_path / "bad.json", {"score": value})
         assert not (tmp_path / "bad.json").exists()
+
+
+def test_json_reads_back_what_it_writes_and_names_bad_text(tmp_path):
+    path = tmp_path / "r.json"
+    record = {"b": [1, 0.5], "a": None}
+    volio.write_json(path, record)
+    assert volio.read_json(path) == record
+    path.write_text('{"a": 1,\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not valid JSON: Expecting"):
+        volio.read_json(path)

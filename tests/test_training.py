@@ -391,7 +391,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("initial_lr", float("nan")), ("initial_lr", float("inf")),
     ("l2_coefficient", -1e-5), ("l2_coefficient", float("nan")),
-    ("l2_coefficient", float("inf")),
+    ("l2_coefficient", float("inf")), ("min_improvement", -1.0),
+    ("min_improvement", float("nan")), ("min_improvement", float("inf")),
 ])
 def test_config_rejects_non_finite_or_negative_rates_by_name(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
