@@ -138,12 +138,14 @@ def _cohort_cells(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> list[M
         raise ConfigError(f"'source.directory': case {volumes[0].patient_id!r} has (H, W) "
                           f"{hwc[0][:2]}, but both backbones pool three times, so H and W "
                           f"must be multiples of 8")
-    num_classes = cohort_num_classes([v.labels for v in volumes])
+    # one sorted scan per volume gives both the largest label and the gaps
+    found = [np.unique(v.labels) for v in volumes]
+    num_classes = int(max(labels[-1] for labels in found)) + 1
     if num_classes < 2:
         raise ConfigError("'source.directory': no case holds a foreground label")
     present = np.zeros(num_classes, dtype=bool)
-    for v in volumes:
-        present[np.unique(v.labels)] = True
+    for labels in found:
+        present[labels] = True
     if not present.all():
         raise ConfigError(f"'source.directory': label {int(np.argmin(present))} appears in "
                           f"no case (largest label {num_classes - 1})")

@@ -90,11 +90,11 @@ class AugmentParams:
         # a zero zoom makes the warp matrix singular
         if min(self.zoom_range) <= 0:
             raise ValueError(f"zoom_range values must be positive, got {self.zoom_range}")
-        # gaussian_filter skips an axis whose sigma is not positive, so a
-        # negative one would leave the displacement field raw noise
-        if not 0 <= self.elastic_sigma < np.inf:
+        # gaussian_filter skips an axis whose sigma is not positive, so zero
+        # or a negative one would leave the displacement field raw noise
+        if not 0 < self.elastic_sigma < np.inf:
             raise ValueError(
-                f"elastic_sigma must be non-negative and finite, got {self.elastic_sigma}")
+                f"elastic_sigma must be positive and finite, got {self.elastic_sigma}")
 
 
 def _warp(a: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:

@@ -22,6 +22,12 @@ of the weight gradient. Padding is a zeroed array with the input written
 inside. The bias gradient, like batch norm's statistics and gradients, is a
 sum over positions by ``autodiff._channel_sum``: einsum in numpy's reduce
 order, so the same bits at a fraction of the reduce's per-position cost.
+The per-channel arithmetic, batch norm's centring, scales and shift in
+both passes and the conv bias add, runs on long rows by ``_per_channel``:
+whole positions viewed as rows with the channel vector laid out along one
+row, so numpy's inner loop runs over hundreds of elements rather than C per
+position. Each element gets the same IEEE operation on the same operands as
+under broadcasting, so the bits do not change either.
 
 Pooling, unpooling and upsampling share one view of the 2 x ... x 2
 windows, (N, *spatial/2, C, 2**rank), and an adjoint gather/scatter pair on
@@ -31,6 +37,7 @@ each is the other's backward.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -96,6 +103,34 @@ def _pad(x: np.ndarray, pads: tuple[int, ...]) -> np.ndarray:
     return xp
 
 
+def _per_channel(x: np.ndarray, *steps: tuple[np.ufunc, np.ndarray],
+                 inplace: bool = False) -> np.ndarray:
+    """``x`` (..., C) after each ``(ufunc, v)`` step in turn, ``ufunc(x, v)``
+    with the per-channel vector ``v`` broadcast over the channel axis: on a
+    new array, or on ``x`` itself when ``inplace``.
+
+    Broadcasting a (C,) vector runs numpy's inner loop once per position
+    over C elements. Here ``x`` is viewed as rows of whole positions, every
+    axis after the first spatial one (so at least one full last-spatial-axis
+    row), and ``v`` is laid out along one such row, so the inner loop runs
+    over the row. Each element still gets the same IEEE operation with the
+    same operands, so the bits are those of plain broadcasting."""
+    lead = min(2, x.ndim - 1)
+    shape = (math.prod(x.shape[:lead]), math.prod(x.shape[lead:]))
+    if inplace and not x.flags.c_contiguous:
+        # the rows would be a copy, so the writes would not reach x
+        for ufunc, v in steps:
+            ufunc(x, v, out=x)
+        return x
+    rows = np.ascontiguousarray(x).reshape(shape)
+    out = rows if inplace else None
+    for ufunc, v in steps:
+        row = np.empty(shape[1], dtype=v.dtype)
+        row.reshape(-1, x.shape[-1])[...] = v
+        rows = out = ufunc(rows, row, out=out)
+    return rows.reshape(x.shape)
+
+
 def _conv_windows(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     """The sliding windows of ``kernel`` over the spatial axes of a padded
     (N, *spatial, C) array, as a read-only (N, *out, *kernel, C) view.
@@ -114,7 +149,7 @@ def _conv_windows(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
                       (xp.strides[0], *strides, *strides, xp.strides[-1]), writeable=False)
 
 
-def _blocks(extents: tuple[int, ...], unit_bytes: int) -> list[tuple]:
+def _blocks(extents: tuple[int, ...], unit_bytes: int) -> tuple[tuple, ...]:
     """A partition of an array of ``extents`` at ``unit_bytes`` per element
     into blocks within the column budget, as index tuples in order. Blocks
     fix one index on each axis before a leading axis, the first whose one
@@ -123,14 +158,20 @@ def _blocks(extents: tuple[int, ...], unit_bytes: int) -> list[tuple]:
     block, which BLAS may route through a small-matrix or gemv path with
     other rounding; longer spans come first, so each later block fits in
     the heap space an earlier one freed."""
+    return _plan(extents, unit_bytes, _COLUMN_BUDGET)
+
+
+@functools.cache
+def _plan(extents: tuple[int, ...], unit_bytes: int, budget: int) -> tuple[tuple, ...]:
+    # a pure function of its arguments, so each conv shape plans once per process
     axis = next((i for i in range(len(extents) - 1)
-                 if math.prod(extents[i + 1:]) * unit_bytes <= _COLUMN_BUDGET), len(extents) - 1)
+                 if math.prod(extents[i + 1:]) * unit_bytes <= budget), len(extents) - 1)
     span_bytes = math.prod(extents[axis + 1:]) * unit_bytes
-    count = -(-extents[axis] // max(1, _COLUMN_BUDGET // span_bytes))
+    count = -(-extents[axis] // max(1, budget // span_bytes))
     q, r = divmod(extents[axis], count)
     bounds = [i * q + min(i, r) for i in range(count + 1)]
-    return [(*lead, slice(a, b)) for lead in np.ndindex(*extents[:axis])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    return tuple((*lead, slice(a, b)) for lead in np.ndindex(*extents[:axis])
+                 for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def _im2col_matmul(win: np.ndarray, wmat: np.ndarray) -> np.ndarray:
@@ -207,7 +248,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
 
     y = _im2col_matmul(_conv_windows(_pad(x.data, pads), kernel), w.data.reshape(-1, cout))
     if b is not None:
-        y += b.data
+        _per_channel(y, (np.add, b.data), inplace=True)
     n = x.data.shape[0]
     _record(f"conv{rank}d", math.prod(out_spatial) * n * math.prod(kernel) * cin * cout, y.shape)
 
@@ -341,6 +382,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     ``xhat = (x - mean) * inv_std`` from ``x`` in both modes. Every sum
     over positions, forward and backward, is one ``_channel_sum`` call,
     which needs no product temporary and adds in numpy's reduce order.
+    Every per-channel step (``x - mean``, the ``inv_std`` and ``gamma``
+    scales, the shifts) runs on long rows by ``_per_channel``, the same
+    operation per element as broadcasting, so the bits are the same too.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -353,25 +397,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         # numpy's mean and var divide a reduce's sum by m, and _channel_sum
         # adds in that reduce's order, so these equal x.mean and x.var bit for bit
         mean = _channel_sum(x.data) / m
-        y = x.data - mean
+        y = _per_channel(x.data, (np.subtract, mean))
         var = _channel_sum(y, y) / m
         running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
         running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     else:
         mean = running_mean.copy()  # training passes update it in place
         var = running_var
-        y = x.data - mean
+        y = _per_channel(x.data, (np.subtract, mean))
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    y *= inv_std
-    y *= gamma.data
-    y += beta.data
+    _per_channel(y, (np.multiply, inv_std), (np.multiply, gamma.data), (np.add, beta.data),
+                 inplace=True)
     mask = y > 0
     y *= mask
     _record("batch_norm", 0, y.shape)
 
     def bwd(g):
         g = g * mask
-        xhat = (x.data - mean) * inv_std
+        xhat = _per_channel(x.data, (np.subtract, mean), (np.multiply, inv_std))
         if gamma.requires_grad:
             accumulate_grad(gamma, _channel_sum(g, xhat))
         if beta.requires_grad:
@@ -379,14 +422,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         if x.requires_grad:
             if training:
                 # (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) * inv_std, in place
-                gx = g * gamma.data
+                gx = _per_channel(g, (np.multiply, gamma.data))
                 shift, scale = _channel_sum(gx) / m, _channel_sum(gx, xhat) / m
-                gx -= shift
-                xhat *= scale
+                _per_channel(gx, (np.subtract, shift), inplace=True)
+                _per_channel(xhat, (np.multiply, scale), inplace=True)
                 gx -= xhat
-                gx *= inv_std
+                _per_channel(gx, (np.multiply, inv_std), inplace=True)
             else:
-                gx = g * gamma.data * inv_std
+                gx = _per_channel(g, (np.multiply, gamma.data), (np.multiply, inv_std))
             accumulate_grad(x, gx)
 
     return _node(y, (x, gamma, beta), "batch_norm", bwd)

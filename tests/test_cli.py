@@ -115,7 +115,7 @@ MALFORMED = [
     ("train.min_improvement", -1.0,
      "'train': min_improvement must be non-negative and finite, got -1.0"),
     ("train.augment.elastic_sigma", -3.0,
-     "'train.augment': elastic_sigma must be non-negative and finite, got -3.0"),
+     "'train.augment': elastic_sigma must be positive and finite, got -3.0"),
     ("folds.count", 1, "'folds.count' must be at least 2"),
     ("grid.modes", ["nope"],
      "'grid.modes' entry 'nope' not in ('end2end_2d', 'proposed', 'channel_based', 'end2end_3d')"),
@@ -192,7 +192,7 @@ def _train_configs(draw) -> TrainConfig:
         augment=draw(st.builds(AugmentParams, probability=st.floats(0.0, 1.0),
                                enable_flip=st.booleans(), rotation_degrees=_pairs,
                                shear_range=_pairs, zoom_range=_positive_pairs,
-                               elastic_sigma=_non_negative, elastic_alpha=_finite)))
+                               elastic_sigma=_positive, elastic_alpha=_finite)))
 
 
 @st.composite

@@ -140,11 +140,11 @@ def test_augment_deterministic_given_rng_seed():
     assert np.array_equal(a.target, b.target)
 
 
-@pytest.mark.parametrize("sigma", [-3.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("sigma", [-3.0, float("nan"), float("inf"), 0.0])
 def test_augment_params_reject_negative_or_non_finite_elastic_sigma(sigma):
-    # gaussian_filter would skip smoothing at a negative sigma
+    # gaussian_filter would skip smoothing at a zero or negative sigma
     with pytest.raises(ValueError,
-                       match=f"^elastic_sigma must be non-negative and finite, got {sigma}$"):
+                       match=f"^elastic_sigma must be positive and finite, got {sigma}$"):
         AugmentParams(elastic_sigma=sigma)
 
 

@@ -235,13 +235,16 @@ def _monolithic_conv(x, w, b, g, padded_axes):
 # conv shapes of the workloads whose columns exceed the budget: the 3D and
 # transition convs of train_step and predict_volume, a 2D decoder conv at
 # f=16 and one at grid_run's f=4; the two 3D convs with 16 and 48 input
-# channels take sub-plane forward blocks and channel-span weight-gradient blocks
+# channels take sub-plane forward blocks and channel-span weight-gradient blocks;
+# the last two add their bias over rows of one and of four channels
 BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
                  ((8, 32, 32, 7, 16), 16, (True, True, False)),
                  ((8, 32, 32, 7, 1), 16, (True, True, False)),
                  ((1, 32, 32, 20, 4), 16, (True, True, False)),
                  ((8, 32, 32, 48), 16, (True, True)),
-                 ((8, 32, 32, 12), 4, (True, True))]
+                 ((8, 32, 32, 12), 4, (True, True)),
+                 ((8, 32, 32, 16), 1, (True, True)),
+                 ((2, 32, 32, 5, 8), 4, (True, True, False))]
 
 
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
@@ -541,22 +544,32 @@ def _unfused_bn_relu(x, gamma, beta, running, training, g, momentum=0.99, eps=1e
     return y, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
+def _strided(a):
+    """``a``'s values in a view that is not C-contiguous: every other
+    channel of a buffer twice as wide."""
+    buf = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    buf[..., ::2] = a
+    return buf[..., ::2]
+
+
 @st.composite
 def _bn_cases(draw):
     rank = draw(st.sampled_from((2, 3)))
     shape = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(1, 5), min_size=rank,
                                                      max_size=rank)),
              draw(st.integers(1, 64)))
-    return shape, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    # a strided x takes batch norm's per-channel rows through their copy
+    return shape, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_bn_cases())
 def test_batch_norm_relu_matches_unfused_oracle_bit_for_bit(case):
-    shape, training, seed = case
+    shape, training, strided, seed = case
     rng = np.random.default_rng(seed)
     c = shape[-1]
-    x = Tensor(rng.normal(loc=1.0, scale=2.0, size=shape), requires_grad=True)
+    x = rng.normal(loc=1.0, scale=2.0, size=shape)
+    x = Tensor(_strided(x) if strided else x, requires_grad=True)
     gamma = Tensor(rng.normal(size=c), requires_grad=True)
     beta = Tensor(rng.normal(size=c), requires_grad=True)
     g = rng.normal(size=shape)
@@ -578,8 +591,10 @@ def test_batch_norm_relu_matches_unfused_oracle_bit_for_bit(case):
 def test_batch_norm_var_from_centred_input_equals_numpy_var(monkeypatch, case):
     # with momentum 0 the running averages hold the batch statistics themselves
     monkeypatch.setattr(ops, "BN_MOMENTUM", 0.0)
-    shape, _, seed = case
+    shape, _, strided, seed = case
     x = np.random.default_rng(seed).normal(loc=3.0, scale=5.0, size=shape)
+    if strided:
+        x = _strided(x)
     axes = tuple(range(x.ndim - 1))
     c = shape[-1]
     running_mean, running_var = np.zeros(c), np.ones(c)
@@ -587,6 +602,43 @@ def test_batch_norm_var_from_centred_input_equals_numpy_var(monkeypatch, case):
                    running_mean, running_var, training=True)
     np.testing.assert_array_equal(running_mean, x.mean(axis=axes))
     np.testing.assert_array_equal(running_var, x.var(axis=axes))
+
+
+@st.composite
+def _per_channel_cases(draw):
+    """An array of rank 1-5 with C 1-64, C-contiguous or strided, and 1-4
+    steps of an arithmetic ufunc with a per-channel vector."""
+    ndim, c = draw(st.integers(1, 5)), draw(st.integers(1, 64))
+    shape = (*draw(st.lists(st.integers(1, 6), min_size=ndim - 1, max_size=ndim - 1)), c)
+    ufuncs = draw(st.lists(st.sampled_from((np.add, np.subtract, np.multiply)),
+                           min_size=1, max_size=4))
+    return shape, ufuncs, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_per_channel_cases())
+def test_per_channel_rows_equal_plain_broadcasting_bit_for_bit(case):
+    shape, ufuncs, strided, inplace, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    if strided:
+        x = _strided(x)
+    steps = [(ufunc, rng.normal(size=shape[-1])) for ufunc in ufuncs]
+    want = x.copy()
+    for ufunc, v in steps:
+        ufunc(want, v, out=want)
+    before = x.copy()
+    got = ops._per_channel(x, *steps, inplace=inplace)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    if inplace:
+        np.testing.assert_array_equal(_bits(x), _bits(want))
+    else:
+        assert not np.shares_memory(got, x)
+        np.testing.assert_array_equal(_bits(x), _bits(before))
 
 
 # ---------------------------------------------------------------------------
