@@ -233,6 +233,56 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("ij,ij->j", a.reshape(-1, c), b.reshape(-1, c))
 
 
+def _first_max(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first maximum over the leading axis of ``rows`` (K, ...), as
+    ``(codes, values)``: bit for bit ``np.argmax(rows, axis=0)`` and the
+    elements at those codes. The first maximum in row order wins, the first
+    NaN beats every number, and of tied zeros the first keeps its sign.
+
+    ``argmax`` along a short trailing axis runs numpy's inner loop once per
+    position over K elements; here each step is one elementwise op over a
+    whole row. ``np.maximum(r, best)`` returns its second operand on a ±0
+    tie, which keeps the first zero, and each code counts the leading rows
+    that miss the maximum."""
+    best = rows[0]
+    for r in rows[1:]:
+        best = np.maximum(r, best)
+    missed = np.ones(best.shape, dtype=bool)
+    codes = np.zeros(best.shape, dtype=np.intp)
+    for r in rows[:-1]:
+        missed &= r != best
+        missed &= r == r  # a NaN row holds a NaN maximum
+        codes += missed
+    if np.isnan(best).any():
+        # of two NaNs np.maximum keeps the later one, argmax the first
+        best = np.take_along_axis(rows, codes[None], axis=0)[0]
+    return codes, best
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (K, ...) summed over the leading axis, bit for bit as
+    numpy's ``.sum(axis=-1)`` adds a contiguous trailing axis of length K:
+    in sequence from +0.0 below 8 rows, else in numpy's pairwise blocks of
+    8 accumulators (halved above 128), added to +0.0. Each step adds whole
+    rows, where the reduce would loop once per position over K elements."""
+    n = len(rows)
+    if n < 8:
+        total = rows[0] + 0.0
+        for r in rows[1:]:
+            total += r
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(rows[:half]) + _row_sum(rows[half:])
+    acc = rows[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        acc += rows[i:i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for r in rows[n - n % 8:]:
+        total += r
+    return total + 0.0
+
+
 def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(a % x.data.ndim for a in axes)
     if axes == tuple(range(x.data.ndim - 1)):
@@ -287,13 +337,33 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Numerically stabilised softmax along the last (class) axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    """Numerically stabilised softmax along the last (class) axis.
+
+    Every step runs on the class slices ``x[..., k]``, whole rows of
+    positions, not numpy's per-position loop over K classes. The class
+    maximum is a ``np.maximum`` chain, exact like ``x.max(axis=-1)``; the
+    class sum and the backward's dot add in the reduce's order by
+    ``_row_sum``; the subtraction, ``exp``, division and products are the
+    same elementwise ops as on the whole array. So the bits are those of
+    ``e = exp(x - x.max(-1))``, ``e / e.sum(-1)`` and
+    ``y * (g - (g * y).sum(-1))``."""
+    k = x.data.shape[-1]
+    top = x.data[..., 0]
+    for c in range(1, k):
+        top = np.maximum(x.data[..., c], top)
+    y = np.empty_like(x.data)
+    for c in range(k):
+        np.subtract(x.data[..., c], top, out=y[..., c])
+    np.exp(y, out=y)
+    total = _row_sum(np.moveaxis(y, -1, 0))
+    for c in range(k):
+        np.divide(y[..., c], total, out=y[..., c])
 
     def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        accumulate_grad(x, y * (g - dot))
+        gx = g * y
+        dot = _row_sum(np.moveaxis(gx, -1, 0))
+        for c in range(k):
+            np.subtract(g[..., c], dot, out=gx[..., c])
+        accumulate_grad(x, np.multiply(y, gx, out=gx))
 
     return _node(y, (x,), "softmax", bwd)

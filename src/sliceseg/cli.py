@@ -309,7 +309,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_features(args) -> int:
     stems = volio.list_case_stems(args.dir)
-    labels = [volio.load_case(args.dir, s).labels for s in stems]
+    labels = [volio.load_labels(args.dir, s) for s in stems]
     num_classes = cohort_num_classes(labels)
     if num_classes < 2:
         raise ValueError("no foreground classes present in the volume directory")

@@ -29,10 +29,18 @@ row, so numpy's inner loop runs over hundreds of elements rather than C per
 position. Each element gets the same IEEE operation on the same operands as
 under broadcasting, so the bits do not change either.
 
-Pooling, unpooling and upsampling share one view of the 2 x ... x 2
-windows, (N, *spatial/2, C, 2**rank), and an adjoint gather/scatter pair on
-it: pooling gathers at the argmax codes, unpooling scatters to them, and
-each is the other's backward.
+Pooling, unpooling and upsampling share one window-first layout of the
+2 x ... x 2 windows, (2**rank, N, *spatial/2, C), C-contiguous: row k holds
+element k, in row-major window order, of every window. A trailing window
+axis of 2-8 elements would run numpy's inner loop once per window; here
+every per-window step is one elementwise op over a whole row. Pooling takes
+``autodiff._first_max`` over the rows, the codes and values of argmax with
+its tie rules; the upsample backward sums the rows by ``autodiff._row_sum``
+in the order numpy's reduce adds a trailing axis, so the bits match a
+trailing-axis ``argmax`` and ``sum``. An adjoint gather/scatter pair indexes
+the layout at the flat positions ``code * M + window``: pooling gathers at
+the argmax codes, unpooling scatters to them, and each is the other's
+backward.
 """
 from __future__ import annotations
 
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tensor, _channel_sum, _node, accumulate_grad
+from .autodiff import Tensor, _channel_sum, _first_max, _node, _row_sum, accumulate_grad
 
 # Byte budget for one block of columns. On a 2-vCPU Xeon (OpenBLAS 0.3.31,
 # one thread) predict_volume ran about 30% faster with 4 MiB blocks than with
@@ -270,37 +278,44 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
 
 
 def _window_axes(rank: int) -> tuple[int, ...]:
-    """The axis order taking (N, s1, 2, ..., sr, 2, C) to (N, s1, ..., sr, C, 2, ..., 2)."""
-    return (0, *range(1, 2 * rank, 2), 2 * rank + 1, *range(2, 2 * rank + 1, 2))
+    """The axis order taking (N, s1, 2, ..., sr, 2, C) to (2, ..., 2, N, s1, ..., sr, C)."""
+    return (*range(2, 2 * rank + 1, 2), 0, *range(1, 2 * rank, 2), 2 * rank + 1)
 
 
 def _windows(x: np.ndarray) -> np.ndarray:
-    """(N, *spatial, C) -> (N, *spatial/2, C, 2**rank): the 2 x ... x 2
-    window at each coarse position, its elements in row-major order."""
+    """(N, *spatial, C) -> (2**rank, N, *spatial/2, C), C-contiguous: row k
+    holds element k, in row-major order, of every 2 x ... x 2 window."""
     n, half, c = x.shape[0], tuple(s // 2 for s in x.shape[1:-1]), x.shape[-1]
     xr = x.reshape((n, *(e for h in half for e in (h, 2)), c))
-    return xr.transpose(_window_axes(len(half))).reshape((n, *half, c, 2 ** len(half)))
+    return np.ascontiguousarray(xr.transpose(_window_axes(len(half)))).reshape(
+        (2 ** len(half), n, *half, c))
 
 
 def _unwindows(win: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_windows`: (N, *half, C, 2**rank) -> (N, *2*half, C)."""
-    n, half, c = win.shape[0], win.shape[1:-2], win.shape[-2]
-    wr = win.reshape((n, *half, c) + (2,) * len(half))
+    """Inverse of :func:`_windows`: (2**rank, N, *half, C) -> (N, *2*half, C)."""
+    n, half, c = win.shape[1], win.shape[2:-1], win.shape[-1]
+    wr = win.reshape((2,) * len(half) + (n, *half, c))
     return wr.transpose(np.argsort(_window_axes(len(half)))).reshape(
         (n, *(2 * h for h in half), c))
+
+
+def _flat(codes: np.ndarray) -> np.ndarray:
+    """Each window's element at its code, as a flat index into
+    :func:`_windows`' layout: ``codes * M + position`` over M windows."""
+    return codes * codes.size + np.arange(codes.size).reshape(codes.shape)
 
 
 def _gather(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The element of each window of ``x`` at its row-major offset in
     ``codes``, an integer array of the pooled shape."""
-    return np.take_along_axis(_windows(x), codes[..., None], axis=-1)[..., 0]
+    return np.take(_windows(x), _flat(codes))
 
 
 def _scatter(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_gather`: each value at its offset in ``codes``
     inside its window, zero elsewhere."""
-    win = np.zeros(codes.shape + (2 ** (codes.ndim - 2),), dtype=np.float64)
-    np.put_along_axis(win, codes[..., None], values[..., None], axis=-1)
+    win = np.zeros((2 ** (codes.ndim - 2), *codes.shape))
+    np.put(win, _flat(codes), values)
     return _unwindows(win)
 
 
@@ -316,10 +331,7 @@ def maxpool_with_indices(x: Tensor) -> tuple[Tensor, np.ndarray]:
     if any(s % 2 for s in spatial):
         raise ValueError(f"maxpool requires even spatial extents, got {spatial}")
 
-    # argmax and values from one window view; _gather would build a second
-    win = _windows(x.data)
-    codes = win.argmax(axis=-1)
-    pooled = np.take_along_axis(win, codes[..., None], axis=-1)[..., 0]
+    codes, pooled = _first_max(_windows(x.data))
     _record(f"maxpool{rank}d", 0, pooled.shape)
 
     def bwd(g):
@@ -337,6 +349,12 @@ def max_unpool(x: Tensor, codes: np.ndarray) -> Tensor:
     if x.data.shape != codes.shape:
         raise ValueError(f"unpool input shape {x.data.shape} does not match codes {codes.shape}")
     rank = codes.ndim - 2
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"unpool codes must be integers, got dtype {codes.dtype}")
+    # a code outside its window would land in a neighbouring one
+    if codes.size and (codes.min() < 0 or codes.max() >= 2 ** rank):
+        raise ValueError(f"unpool codes must lie in [0, {2 ** rank}), got values in "
+                         f"[{codes.min()}, {codes.max()}]")
     y = _scatter(x.data, codes)
     _record(f"max_unpool{rank}d", 0, y.shape)
 
@@ -356,9 +374,15 @@ def upsample_nearest(x: Tensor) -> Tensor:
     for axis in range(1, 1 + rank):
         y = np.repeat(y, 2, axis=axis)
     _record(f"upsample{rank}d", 0, y.shape)
+    # The backward's window sums match numpy's .sum(axis=-1) over the
+    # window-last layout (N, *half, C, 2**rank). For a rank-3 gradient with
+    # W = D = 2 and C > 1 that layout is a view with window stride C, which
+    # numpy sums in sequence rather than pairwise.
+    in_sequence = rank == 3 and y.shape[2:4] == (2, 2) and y.shape[-1] > 1
 
     def bwd(g):
-        accumulate_grad(x, _windows(g).sum(axis=-1))
+        win = _windows(g)
+        accumulate_grad(x, sum(win) if in_sequence else _row_sum(win))
 
     return _node(y, (x,), f"upsample{rank}d", bwd)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, no_grad
+from .autodiff import Tensor, _first_max, backward, no_grad
 from .data import AugmentParams, SliceSample, augment, depth_window, extract_stack
 from .losses import combined_loss, dice_per_class, soft_dice_loss
 from .models import SegmentationModel
@@ -177,6 +177,11 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes, dtype=np.float64)[labels]
 
 
+def _class_labels(probs: np.ndarray) -> np.ndarray:
+    """``probs.argmax(axis=-1)``, taken over whole class slices."""
+    return _first_max(np.moveaxis(probs, -1, 0))[0]
+
+
 def _batches(n: int, batch_size: int, order=None):
     idx = np.arange(n) if order is None else order
     for lo in range(0, n, batch_size):
@@ -271,7 +276,7 @@ def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[fl
             probs, y = _forward_batch(model, batch, num_classes, training=False)
             loss_sum += config.loss_fn(probs, y).item()
             n_batches += 1
-            pred = probs.data.argmax(axis=-1)
+            pred = _class_labels(probs.data)
             for k, s in enumerate(batch):
                 per_class = dice_per_class(pred[k], np.asarray(s.target), num_classes)
                 dsc_sum += float(np.mean(per_class[1:]))
@@ -301,13 +306,13 @@ def predict_volume(model: SegmentationModel, volume: LabeledVolume,
             for z0 in _tile_starts(depth, d):
                 probs = model.forward(Tensor(volume.image[None, :, :, z0:z0 + d, :]),
                                       training=False)
-                pred[:, :, z0:z0 + d] = probs.data[0].argmax(axis=-1)
+                pred[:, :, z0:z0 + d] = _class_labels(probs.data[0])
             return pred
         for lo in range(0, depth, batch_size):
             hi = min(lo + batch_size, depth)
             slab = depth_window(volume.image, lo - d // 2, hi + d // 2)
             probs = model.forward(Tensor(slab[None]), training=False)
-            pred[:, :, lo:hi] = np.moveaxis(probs.data.argmax(axis=-1), 0, -1)
+            pred[:, :, lo:hi] = np.moveaxis(_class_labels(probs.data), 0, -1)
     return pred
 
 

@@ -116,13 +116,21 @@ def save_case(directory, volume: LabeledVolume) -> None:
     write_array(directory / f"{volume.patient_id}{LABELS_SUFFIX}", volume.labels)
 
 
+def load_labels(directory, stem: str) -> np.ndarray:
+    """The (H, W, D) uint8 label map of one case, without its image."""
+    labels = read_array(Path(directory) / f"{stem}{LABELS_SUFFIX}")
+    if labels.dtype != np.uint8:
+        raise ValueError(f"{stem}: label file does not hold uint8 data")
+    if labels.ndim != 3:
+        raise ValueError(f"{stem}: labels {labels.shape} are not an (H, W, D) map")
+    return labels
+
+
 def load_case(directory, stem: str) -> LabeledVolume:
     directory = Path(directory)
     image = read_array(directory / f"{stem}{IMAGE_SUFFIX}").astype(np.float64)
-    labels = read_array(directory / f"{stem}{LABELS_SUFFIX}")
-    if labels.dtype != np.uint8:
-        raise ValueError(f"{stem}: label file does not hold uint8 data")
-    if image.ndim != 4 or labels.ndim != 3 or image.shape[:3] != labels.shape:
+    labels = load_labels(directory, stem)
+    if image.ndim != 4 or image.shape[:3] != labels.shape:
         raise ValueError(f"{stem}: image {image.shape} and labels {labels.shape} do not pair")
     bad = int(np.count_nonzero(~np.isfinite(image)))
     if bad:

@@ -124,6 +124,60 @@ def test_channel_sum_equals_numpy_reduce_bit_for_bit(case):
         np.testing.assert_array_equal(ad._channel_sum(x, y), (x * y).sum(axis=axes))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def _first_max_rows(draw):
+    """K 1-40 rows of 1-3 axes holding any float64 (NaNs of any sign and
+    payload, ±inf, ±0, ties), C-contiguous or as the strided class slices
+    of a trailing axis."""
+    k = draw(st.integers(1, 40))
+    rest = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5))
+    rows = draw(arrays(np.float64, (k, *rest),
+                       elements=st.floats(width=64) | st.sampled_from((0.0, -0.0, 1.0))))
+    if draw(st.booleans()):
+        rows = np.moveaxis(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), -1, 0)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_first_max_rows())
+def test_first_max_equals_argmax_and_take_along_axis_bit_for_bit(rows):
+    codes, values = ad._first_max(rows)
+    want = np.argmax(rows, axis=0)
+    assert codes.dtype == want.dtype
+    np.testing.assert_array_equal(codes, want)
+    np.testing.assert_array_equal(_bits(values),
+                                  _bits(np.take_along_axis(rows, want[None], axis=0)[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5),
+       st.sampled_from((0.0, 0.1)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_row_sum_adds_in_numpy_reduce_order_bit_for_bit(n, rest, share, strided, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(*rest, n)) * 10.0 ** rng.uniform(-8, 8, size=(*rest, n))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    a = np.where(rng.random(a.shape) < share, specials[rng.integers(0, 6, a.shape)], a)
+    rows = np.moveaxis(a, -1, 0)
+    if not strided:
+        rows = np.ascontiguousarray(rows)
+    with np.errstate(invalid="ignore"):
+        got, want = ad._row_sum(rows), a.sum(axis=-1)
+    # IEEE 754 leaves open which NaN a sum of two NaNs returns, and numpy's
+    # own add returns either one, by the element's place in its vector loop
+    np.testing.assert_array_equal(_bits(np.where(np.isnan(got), np.nan, got)),
+                                  _bits(np.where(np.isnan(want), np.nan, want)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 300])
+def test_row_sum_of_negative_zeros_is_positive_zero(n):
+    np.testing.assert_array_equal(_bits(ad._row_sum(np.full((n, 3), -0.0))),
+                                  _bits(np.full((3, n), -0.0).sum(axis=-1)))
+
+
 def test_concat_values():
     a, b = t([[1.0], [2.0]]), t([[3.0], [4.0]])
     cat = ad.concat([a, b], axis=1)
@@ -144,6 +198,34 @@ def test_softmax_values_match_numpy():
     y = ad.softmax(Tensor(x)).data
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     assert np.allclose(y, e / e.sum(axis=-1, keepdims=True))
+
+
+@st.composite
+def _softmax_cases(draw):
+    """K 2-40 classes after 1-4 leading axes, unit ones likely, a logit
+    scale, rounded logits (ties and -0.0) or not, and a seed."""
+    lead = draw(st.lists(st.sampled_from((1, 1, 2, 3, 5)), min_size=1, max_size=4))
+    return ((*lead, draw(st.integers(2, 40))), draw(st.floats(0.01, 50.0)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_softmax_cases())
+def test_softmax_equals_whole_array_oracle_bit_for_bit(case):
+    shape, scale, rounded, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=scale, size=shape)
+    if rounded:
+        x = np.round(x)
+    g = rng.normal(size=shape)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    xt = Tensor(x, requires_grad=True)
+    y = ad.softmax(xt)
+    np.testing.assert_array_equal(_bits(y.data), _bits(want))
+    y._backward(g)
+    np.testing.assert_array_equal(
+        _bits(xt.grad), _bits(want * (g - (g * want).sum(axis=-1, keepdims=True))))
 
 
 def test_softmax_shift_invariance():

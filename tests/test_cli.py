@@ -685,6 +685,28 @@ def test_features_verb_matches_direct_analysis(tmp_path, capsys):
         assert float(disp) == want["displacement"]
 
 
+def test_features_verb_reads_no_image_file(tmp_path, capsys, monkeypatch):
+    cli.main(["generate", "organ_and_lesion", "2", str(tmp_path), "--seed", "7"])
+    capsys.readouterr()
+    read = []
+    real_read_array = volio.read_array
+    monkeypatch.setattr(volio, "read_array", lambda path: read.append(str(path))
+                        or real_read_array(path))
+    assert cli.main(["features", str(tmp_path)]) == 0
+    assert sorted(os.path.basename(p) for p in read) == ["p000.labels.ssv", "p001.labels.ssv"]
+
+
+@pytest.mark.parametrize("labels,message", [
+    (np.zeros((4, 4, 2), dtype=np.float32), "p000: label file does not hold uint8 data"),
+    (np.zeros((4, 4), dtype=np.uint8), "p000: labels (4, 4) are not an (H, W, D) map"),
+], ids=["float", "rank_2"])
+def test_features_verb_names_a_bad_label_file(tmp_path, capsys, labels, message):
+    volio.write_array(tmp_path / "p000.image.ssv", np.zeros((4, 4, 2, 1)))
+    volio.write_array(tmp_path / "p000.labels.ssv", labels)
+    assert cli.main(["features", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_features_verb_without_foreground_exits_nonzero(tmp_path, capsys):
     for v in generate_cohort(dataset_presets()["organ_and_lesion"], 2, seed=0):
         volio.save_case(tmp_path, dataclasses.replace(v, labels=np.zeros_like(v.labels)))

@@ -351,11 +351,12 @@ def test_windows_hold_each_window_in_row_major_order(case):
     x, _, _ = case
     rank = x.ndim - 2
     win = ops._windows(x)
-    assert win.shape == (x.shape[0], *(s // 2 for s in x.shape[1:-1]), x.shape[-1], 2**rank)
+    assert win.shape == (2**rank, x.shape[0], *(s // 2 for s in x.shape[1:-1]), x.shape[-1])
+    assert win.flags.c_contiguous
     np.testing.assert_array_equal(ops._unwindows(win), x)
-    for n, *i, c, k in np.ndindex(win.shape):
+    for k, n, *i, c in np.ndindex(win.shape):
         offset = np.unravel_index(k, (2,) * rank)
-        assert win[(n, *i, c, k)] == x[(n, *(2 * a + b for a, b in zip(i, offset)), c)]
+        assert win[(k, n, *i, c)] == x[(n, *(2 * a + b for a, b in zip(i, offset)), c)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,6 +366,103 @@ def test_scatter_is_the_adjoint_of_gather(case):
     lhs = np.sum(ops._scatter(a, codes) * b)
     rhs = np.sum(a * ops._gather(b, codes))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def _window_last(x):
+    """Reference window view: (N, *spatial, C) -> (N, *spatial/2, C, 2**rank),
+    each window's elements in row-major order along the last axis (a view
+    where numpy's reshape gives one)."""
+    n, half, c = x.shape[0], tuple(s // 2 for s in x.shape[1:-1]), x.shape[-1]
+    rank = len(half)
+    axes = (0, *range(1, 2 * rank, 2), 2 * rank + 1, *range(2, 2 * rank + 1, 2))
+    xr = x.reshape((n, *(e for h in half for e in (h, 2)), c))
+    return xr.transpose(axes).reshape((n, *half, c, 2**rank))
+
+
+def _from_window_last(win):
+    n, half, c = win.shape[0], win.shape[1:-2], win.shape[-2]
+    rank = len(half)
+    axes = (0, *range(1, 2 * rank, 2), 2 * rank + 1, *range(2, 2 * rank + 1, 2))
+    return win.reshape((n, *half, c) + (2,) * rank).transpose(np.argsort(axes)).reshape(
+        (n, *(2 * h for h in half), c))
+
+
+def _reference_pool(x):
+    win = _window_last(x)
+    codes = win.argmax(axis=-1)
+    return codes, np.take_along_axis(win, codes[..., None], axis=-1)[..., 0]
+
+
+def _reference_gather(x, codes):
+    return np.take_along_axis(_window_last(x), codes[..., None], axis=-1)[..., 0]
+
+
+def _reference_scatter(values, codes):
+    win = np.zeros(codes.shape + (2 ** (codes.ndim - 2),))
+    np.put_along_axis(win, codes[..., None], values[..., None], axis=-1)
+    return _from_window_last(win)
+
+
+def _with_specials(rng, shape, share):
+    """Normal values with about ``share`` of them replaced: half by small
+    integers (ties), half by ±0, ±inf or a NaN of either sign."""
+    x = rng.normal(size=shape)
+    pick = rng.random(size=shape)
+    x = np.where(pick < share / 2, rng.integers(-2, 3, size=shape).astype(np.float64), x)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    return np.where((pick >= share / 2) & (pick < share), specials[rng.integers(0, 6, size=shape)], x)
+
+
+@st.composite
+def _pool_cases(draw):
+    """A pooling input shape of rank 1-3 with C 1-64, sometimes a rank-3 one
+    with W = D = 2 (where the window-last layout is a strided view), a
+    share of special values and a seed."""
+    rank = draw(st.integers(1, 3))
+    half = draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))
+    if rank == 3 and draw(st.booleans()):
+        half[1:] = [1, 1]
+    shape = (draw(st.integers(1, 2)), *(2 * h for h in half), draw(st.integers(1, 64)))
+    return shape, draw(st.sampled_from((0.0, 0.05, 0.3))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pool_cases())
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@example(((1, 2, 2, 2, 3), 0.3, 0))
+@example(((2, 6, 2, 2, 1), 0.05, 1))
+def test_pooling_unpooling_and_upsampling_equal_window_last_oracles_bit_for_bit(case):
+    shape, share, seed = case
+    rng = np.random.default_rng(seed)
+    rank = len(shape) - 2
+    x, g = _with_specials(rng, shape, share), _with_specials(rng, shape, share)
+    pooled_shape = (shape[0], *(s // 2 for s in shape[1:-1]), shape[-1])
+    gp = _with_specials(rng, pooled_shape, share)
+    any_codes = rng.integers(0, 2**rank, size=pooled_shape)
+
+    codes, values = _reference_pool(x)
+    y, got_codes = ops.maxpool_with_indices(Tensor(x, requires_grad=True))
+    assert got_codes.dtype == codes.dtype
+    np.testing.assert_array_equal(got_codes, codes)
+    np.testing.assert_array_equal(_bits(y.data), _bits(values))
+    y._backward(gp)
+    np.testing.assert_array_equal(_bits(y.parents[0].grad), _bits(_reference_scatter(gp, codes)))
+
+    for c in (codes, any_codes):
+        np.testing.assert_array_equal(_bits(ops._gather(g, c)), _bits(_reference_gather(g, c)))
+        np.testing.assert_array_equal(_bits(ops._scatter(gp, c)),
+                                      _bits(_reference_scatter(gp, c)))
+        z = ops.max_unpool(Tensor(gp, requires_grad=True), c)
+        np.testing.assert_array_equal(_bits(z.data), _bits(_reference_scatter(gp, c)))
+        z._backward(g)
+        np.testing.assert_array_equal(_bits(z.parents[0].grad), _bits(_reference_gather(g, c)))
+
+    u = ops.upsample_nearest(Tensor(gp, requires_grad=True))
+    np.testing.assert_array_equal(_bits(u.data), _bits(_from_window_last(
+        np.repeat(gp[..., None], 2**rank, axis=-1))))
+    u._backward(g)
+    np.testing.assert_array_equal(_sum_bits(u.parents[0].grad),
+                                  _sum_bits(_window_last(g).sum(axis=-1)))
 
 
 def test_maxpool_values_and_indices():
@@ -403,6 +501,23 @@ def test_unpool_rejects_codes_of_another_shape():
     y, idx = ops.maxpool_with_indices(rand((1, 4, 4, 2), seed=18))
     with pytest.raises(ValueError, match="does not match codes"):
         ops.max_unpool(y, idx[..., :1])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_unpool_rejects_bad_codes_before_any_work(monkeypatch, rank):
+    def no_scatter(*args):
+        raise AssertionError("scattered before the codes were checked")
+
+    monkeypatch.setattr(ops, "_scatter", no_scatter)
+    shape = (1, *(2,) * rank, 3)
+    x = Tensor(np.ones(shape))
+    for bad in (-1, 2**rank):
+        codes = np.zeros(shape, dtype=np.intp)
+        codes[(0,) * (rank + 1) + (1,)] = bad
+        with pytest.raises(ValueError, match=rf"codes must lie in \[0, {2**rank}\)"):
+            ops.max_unpool(x, codes)
+    with pytest.raises(ValueError, match="codes must be integers, got dtype float64"):
+        ops.max_unpool(x, np.zeros(shape))
 
 
 def test_maxpool_gradient_routes_to_argmax():
@@ -617,6 +732,13 @@ def _per_channel_cases(draw):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _sum_bits(a):
+    """The bits of a sum, every NaN as one pattern: IEEE 754 leaves open
+    which NaN a sum of two NaNs returns, and numpy's own add returns either
+    one, by the element's place in its vector loop."""
+    return _bits(np.where(np.isnan(a), np.nan, a))
 
 
 @settings(max_examples=100, deadline=None)
