@@ -156,12 +156,26 @@ def _cohort_cells(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> list[M
     return expand_grid(cfg.grid, in_channels=hwc[0][2], num_classes=num_classes)
 
 
+def _metrics_problem(path: str) -> str | None:
+    """Why a fold's ``metrics.json`` cannot stand as its result, or None
+    when it reads as a JSON object."""
+    if not os.path.exists(path):
+        return "metrics.json missing"
+    try:
+        metrics = volio.read_json(path)
+    except ValueError:
+        return "metrics.json is not valid JSON"
+    return None if isinstance(metrics, dict) else "metrics.json is not a JSON object"
+
+
 def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
     """Train every (cell, fold), then write the aggregate table.
 
-    Finished cells are detected by their completion marker and skipped, so
-    an interrupted run resumes where it stopped. Returns the aggregate
-    table path.
+    Finished folds are detected by their completion marker and skipped, so
+    an interrupted run resumes where it stopped. A fold whose marker
+    matches but whose ``metrics.json`` is missing or unreadable is trained
+    again, with a ``[redo]`` line naming why. Returns the aggregate table
+    path.
     """
     volumes = load_source(cfg.source)
     cells = _cohort_cells(cfg, volumes)
@@ -192,8 +206,11 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
             if os.path.exists(marker):
                 with open(marker, "r", encoding="utf-8") as fh:
                     if fh.read().strip() == want:
-                        log(f"[skip] {name} fold{fold_index} (complete)")
-                        continue
+                        problem = _metrics_problem(os.path.join(fold_dir, "metrics.json"))
+                        if problem is None:
+                            log(f"[skip] {name} fold{fold_index} (complete)")
+                            continue
+                        log(f"[redo] {name} fold{fold_index} ({problem})")
             metrics = _train_one_fold(spec, cfg, fold_index, split, by_id, fold_dir)
             with open(marker, "w", encoding="utf-8") as fh:
                 fh.write(want + "\n")
@@ -284,6 +301,19 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
+def _warm_median_seconds(call) -> float:
+    """Median wall time of three calls of ``call`` after one
+    untimed warm-up call: a first call pays one-time costs (plans, page
+    faults) that a run's later steps do not."""
+    call()
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
 def _cmd_profile(args) -> int:
     cfg = load_config(args.config)
     volumes = load_source(cfg.source)
@@ -293,15 +323,14 @@ def _cmd_profile(args) -> int:
         model = assemble_model(spec, seed=0)
         report = analysis.cost_report(model, in_plane)
         batch = build_samples(volumes[:1], spec)[:cfg.train.batch_size]
-        t0 = time.perf_counter()
-        train_step(model, batch, AdamState(model.parameters()), cfg.train.initial_lr,
-                   cfg.train)
-        t1 = time.perf_counter()
+        state = AdamState(model.parameters())
+        step_s = _warm_median_seconds(
+            lambda: train_step(model, batch, state, cfg.train.initial_lr, cfg.train))
+        stack = Tensor(batch[0].stack[None])
         with no_grad():
-            model.forward(Tensor(batch[0].stack[None]), training=False)
-        t2 = time.perf_counter()
+            predict_s = _warm_median_seconds(lambda: model.forward(stack, training=False))
         rows.append([spec.mode, spec.backbone, spec.d, *dataclasses.astuple(report),
-                     t1 - t0, t2 - t1])
+                     step_s, predict_s])
     volio.write_table(args.out, ["mode", "backbone", "d", *COST_FIELDS,
                                  "seconds_per_training_step", "seconds_per_prediction"], rows)
     return 0

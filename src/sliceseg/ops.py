@@ -10,24 +10,28 @@ alive, and gets the input gradient as a correlation of the output
 gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
 
 Both products index one read-only view of the padded input's windows,
-(N, *out, *kernel, C), whose reshape is the column matrix, and copy it in
-blocks of at most ``_COLUMN_BUDGET`` bytes: fixed indices on leading axes
-and balanced spans of the next one, the first whose inner extent fits. The
-forward and the input gradient index the output axes, all N in every
-block. Every output row is the same dot product as in one whole product,
-so the bits do not change. The weight gradient sums over every output row,
-so splitting the rows would change its summation order; it indexes the
-column axes (*kernel, channel) instead, and each block gives its own rows
-of the weight gradient. Padding is a zeroed array with the input written
-inside. The bias gradient, like batch norm's statistics and gradients, is a
-sum over positions by ``autodiff._channel_sum``: einsum in numpy's reduce
-order, so the same bits at a fraction of the reduce's per-position cost.
-The per-channel arithmetic, batch norm's centring, scales and shift in
-both passes and the conv bias add, runs on long rows by ``_per_channel``:
-whole positions viewed as rows with the channel vector laid out along one
-row, so numpy's inner loop runs over hundreds of elements rather than C per
-position. Each element gets the same IEEE operation on the same operands as
-under broadcasting, so the bits do not change either.
+(N, *out, *kernel, C), whose reshape is the column matrix, and copy it
+in blocks of at most ``_COLUMN_BUDGET`` bytes: fixed indices on leading
+axes and balanced spans of the next one, the first whose inner extent
+fits. So each block is a row-major run of the array it partitions, and
+each block's product is written straight into its own rows of the output
+through ``matmul(out=...)``, with no product temporary. The forward and
+the input gradient partition the (N, *out) rows; every output row is still
+the same dot product as in one whole product, so the bits do not change.
+The weight gradient sums over every output row, so splitting the rows
+would change its summation order; it partitions the column axes
+(*kernel, channel) instead, and each block gives its own rows of the
+weight gradient. Padding is a zeroed array with the input written
+inside. The bias gradient, like batch norm's statistics and gradients,
+is a sum over positions by ``autodiff._channel_sum``: einsum in numpy's
+reduce order, so the same bits at a fraction of the reduce's
+per-position cost. The per-channel arithmetic, batch norm's centring,
+scales and shift in both passes and the conv bias add, runs on long rows
+by ``_per_channel``: whole positions viewed as rows with the channel
+vector laid out along one row, so numpy's inner loop runs over hundreds
+of elements rather than C per position. Each element gets the same IEEE
+operation on the same operands as under broadcasting, so the bits do not
+change either.
 
 Pooling, unpooling and upsampling share one window-first layout of the
 2 x ... x 2 windows, (2**rank, N, *spatial/2, C), C-contiguous: row k holds
@@ -57,8 +61,10 @@ from .autodiff import Tensor, _channel_sum, _first_max, _node, _row_sum, accumul
 
 # Byte budget for one block of columns. On a 2-vCPU Xeon (OpenBLAS 0.3.31,
 # one thread) predict_volume ran about 30% faster with 4 MiB blocks than with
-# 8 or 32 MiB ones, at the same bits. At 2 MiB the narrow products of the
-# 4-channel convs already round differently: do not go lower without a bit check.
+# 8 or 32 MiB ones, at the same bits. The margin is thin: at 3.25 MiB the
+# narrow products of the 4-filter convs in tests/test_ops.py's BLOCKED_CONVS
+# round differently (3.5 MiB and up keep their bits at 1 and 2 BLAS threads),
+# so do not go lower without that bit check.
 _COLUMN_BUDGET = 4 * 2**20
 
 # Optional cost trace, the one record of what a forward pass did: while
@@ -162,10 +168,11 @@ def _blocks(extents: tuple[int, ...], unit_bytes: int) -> tuple[tuple, ...]:
     into blocks within the column budget, as index tuples in order. Blocks
     fix one index on each axis before a leading axis, the first whose one
     index with all of the axes after it fits (else the last), and take as
-    few balanced spans of it as fit. Balanced spans leave no tiny tail
-    block, which BLAS may route through a small-matrix or gemv path with
-    other rounding; longer spans come first, so each later block fits in
-    the heap space an earlier one freed."""
+    few balanced spans of it as fit, so each block is one row-major run of
+    the array. Balanced spans leave no tiny tail block, which BLAS may
+    route through a small-matrix or gemv path with other rounding; longer
+    spans come first, so each later block fits in the heap space an earlier
+    one freed."""
     return _plan(extents, unit_bytes, _COLUMN_BUDGET)
 
 
@@ -185,19 +192,13 @@ def _plan(extents: tuple[int, ...], unit_bytes: int, budget: int) -> tuple[tuple
 def _im2col_matmul(win: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     """The column matrix of the window view ``win`` (see
     :func:`_conv_windows`) times ``wmat``, as an (N, *out, cols) array,
-    built in blocks of output rows with all N interleaved. Callers pass
-    ``win`` over a padded temporary, so a single block frees it before the
-    product."""
+    built in blocks of its rows: each block is a row-major run of the
+    (N, *out) rows, so its product goes straight into its rows of the
+    output."""
     n, out, (k, cols) = win.shape[0], win.shape[1:win.ndim // 2], wmat.shape
-    blocks = _blocks(out, n * k * win.itemsize)
-    if len(blocks) == 1:
-        block = win.reshape(-1, k)
-        del win
-        return (block @ wmat).reshape((n, *out, cols))
     y = np.empty((n, *out, cols))
-    for index in blocks:
-        dst = y[(slice(None), *index)]
-        dst[...] = (win[(slice(None), *index)].reshape(-1, k) @ wmat).reshape(dst.shape)
+    for index in _blocks((n, *out), k * win.itemsize):
+        np.matmul(win[index].reshape(-1, k), wmat, out=y[index].reshape(-1, cols, copy=False))
     return y
 
 
@@ -205,21 +206,14 @@ def _weight_grad(win: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     """The transposed column matrix of the window view ``win`` times
     ``gmat``, as a (*kernel, C, cols) array, built in blocks of columns: a
     block of the (*kernel, c) axes gives the same rows of the product,
-    summed over the output rows in the same order. Like
-    :func:`_im2col_matmul`, a single block frees the padded input before
-    the product."""
-    rows, head = gmat.shape[0], win.ndim // 2
+    summed over the output rows in the same order, and its product goes
+    straight into those rows."""
+    rows, head, cols = gmat.shape[0], win.ndim // 2, gmat.shape[1]
     extents = win.shape[head:]
-    blocks = _blocks(extents, rows * win.itemsize)
-    if len(blocks) == 1:
-        block = win.reshape(rows, -1)
-        del win
-        return (block.T @ gmat).reshape((*extents, gmat.shape[1]))
-    dw = np.empty((*extents, gmat.shape[1]))
-    for index in blocks:
+    dw = np.empty((*extents, cols))
+    for index in _blocks(extents, rows * win.itemsize):
         block = win[(slice(None),) * head + index].reshape(rows, -1)
-        dst = dw[index]
-        dst[...] = (block.T @ gmat).reshape(dst.shape)
+        np.matmul(block.T, gmat, out=dw[index].reshape(-1, cols, copy=False))
     return dw
 
 

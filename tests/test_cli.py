@@ -379,6 +379,37 @@ def test_deleted_fold_is_retrained_identically(grid_run, tmp_path):
         assert fh.read() == before
 
 
+@pytest.mark.parametrize("damage,reason", [
+    ("missing", "metrics.json missing"),
+    ("truncated", "metrics.json is not valid JSON"),
+], ids=["missing", "truncated"])
+def test_marked_fold_without_readable_metrics_is_retrained(grid_run, damage, reason):
+    # a matching done.marker must not skip a fold whose result is gone,
+    # or write_aggregate fails on every rerun
+    cfg_path, out_dir, _ = grid_run
+    metrics_path = os.path.join(out_dir, "cells", "proposed-unet-d03", "fold0", "metrics.json")
+    aggregate_path = os.path.join(out_dir, "aggregate.csv")
+    with open(metrics_path, "rb") as fh:
+        before = fh.read()
+    with open(aggregate_path, "rb") as fh:
+        aggregate_before = fh.read()
+    if damage == "missing":
+        os.remove(metrics_path)
+    else:
+        with open(metrics_path, "wb") as fh:
+            fh.write(before[:len(before) // 2])
+    lines = []
+    cli.run_grid(load_config(cfg_path), out_dir, log=lines.append)
+    redone = [l for l in lines if not l.startswith("[skip]")]
+    assert len(redone) == 2
+    assert redone[0] == f"[redo] proposed-unet-d03 fold0 ({reason})"
+    assert redone[1].startswith("[done] proposed-unet-d03 fold0 ")
+    with open(metrics_path, "rb") as fh:
+        assert fh.read() == before
+    with open(aggregate_path, "rb") as fh:
+        assert fh.read() == aggregate_before
+
+
 def test_metrics_record_expected_fields(grid_run):
     _, out_dir, _ = grid_run
     path = os.path.join(out_dir, "cells", "end2end_2d-unet-d01", "fold0",
@@ -714,6 +745,24 @@ def test_features_verb_without_foreground_exits_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: no foreground classes present in the volume directory\n")
+
+
+def test_profile_times_warm_repeats_of_the_training_step(grid_run, tmp_path, monkeypatch):
+    cfg_path, _, _ = grid_run
+    calls = []
+    real_step = cli.train_step
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].spec)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_step", spy)
+    assert cli.main(["profile", cfg_path, "--out", str(tmp_path / "profile.csv")]) == 0
+    cells = {(spec.mode, spec.d) for spec in calls}
+    assert cells == {("end2end_2d", 1), ("proposed", 3)}
+    # one warm-up call, then the timed repeats whose median is reported
+    for cell in cells:
+        assert sum((spec.mode, spec.d) == cell for spec in calls) >= 4
 
 
 def test_profile_csv_shape(grid_run, tmp_path):

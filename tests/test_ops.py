@@ -234,8 +234,9 @@ def _monolithic_conv(x, w, b, g, padded_axes):
 
 # conv shapes of the workloads whose columns exceed the budget: the 3D and
 # transition convs of train_step and predict_volume, a 2D decoder conv at
-# f=16 and one at grid_run's f=4; the two 3D convs with 16 and 48 input
-# channels take sub-plane forward blocks and channel-span weight-gradient blocks;
+# f=16 and one at grid_run's f=4; the forward and the input gradient take
+# blocks of whole samples or of rows of one sample, and the two 3D convs
+# with 16 and 48 input channels take channel-span weight-gradient blocks;
 # the last two add their bias over rows of one and of four channels
 BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
                  ((8, 32, 32, 7, 16), 16, (True, True, False)),
@@ -305,6 +306,22 @@ def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shap
     assert sum(built) == 2 * whole + whole_gx  # the blocks tile each matrix once
     assert len(built) > 4
     assert max(built) <= ops._COLUMN_BUDGET
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 4096),
+       st.integers(8, 2**16))
+def test_plan_tiles_in_order_with_contiguous_blocks_within_budget(extents, unit_bytes, budget):
+    # conv products write each block's product into out[index] viewed as
+    # rows, which needs every block to be a contiguous run of the array
+    extents = tuple(extents)
+    a = np.arange(math.prod(extents)).reshape(extents)
+    blocks = ops._plan(extents, unit_bytes, budget)
+    np.testing.assert_array_equal(np.concatenate([a[index].ravel() for index in blocks]),
+                                  np.arange(a.size))
+    for index in blocks:
+        assert a[index].flags.c_contiguous
+        assert a[index].size * unit_bytes <= max(budget, unit_bytes)
 
 
 @settings(deadline=None, max_examples=60)
