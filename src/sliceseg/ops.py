@@ -10,30 +10,37 @@ alive, and gets the input gradient as a correlation of the output
 gradient, zero padded by k-1-p per axis, with the spatially flipped kernel.
 
 Both products index one read-only view of the padded input's windows,
-(N, *out, *kernel, C), whose reshape is the column matrix, and copy it
-in blocks of at most ``_COLUMN_BUDGET`` bytes: fixed indices on leading
-axes and balanced spans of the next one, the first whose inner extent
-fits. So each block is a row-major run of the array it partitions, and
-each block's product is written straight into its own rows of the output
-through ``matmul(out=...)``, with no product temporary. The forward and
-the input gradient partition the (N, *out) rows; every output row is still
-the same dot product as in one whole product, so the bits do not change.
-The weight gradient sums over every output row, so splitting the rows
-would change its summation order; it partitions the column axes
-(*kernel, channel) instead, and each block gives its own rows of the
-weight gradient. Padding is a zeroed array with the input written
-inside. The bias gradient, like batch norm's statistics and gradients,
-is a sum over positions by ``autodiff._channel_sum``: einsum in numpy's
-reduce order, so the same bits at a fraction of the reduce's
-per-position cost. The per-channel arithmetic, batch norm's centring,
-scales and shift in both passes and the conv bias add, runs on long rows
-by ``_per_channel``: whole positions viewed as rows with the channel
-vector laid out along one row, so numpy's inner loop runs over hundreds
-of elements rather than C per position. Each element gets the same IEEE
-operation on the same operands as under broadcasting, so the bits do not
-change either.
+(N, *out, *kernel, C), whose reshape is the column matrix, and copy it in
+blocks: fixed indices on leading axes and balanced spans of the next one,
+the first whose inner extent fits the block budget. So each block is a
+row-major run of the array it partitions, and each block's product is
+written straight into its own rows of the output through
+``matmul(out=...)``, with no product temporary. The forward and the input
+gradient partition the (N, *out) rows into blocks sized for the cache and
+for BLAS's path (``_row_blocks``): about 1 MiB, since a 4 MiB block plus
+BLAS's packed copy of it overflows a 2 MiB L2; never above 4 MiB; and,
+when a product splits, every block above 10**6 multiply-adds. OpenBLAS
+multiplies a product of at most 10**6 multiply-adds in its small-matrix
+kernel, which rounds differently (for K=108, N=4 a block's rows differ
+from the whole product's at M <= 2314 rows and match from 2315; for
+K=432, N=16 they differ at M <= 144 and match from 145). Above that bound
+every output row is the same dot product as in one whole product, so the
+bits do not change. The weight gradient sums over every output row, so
+splitting the rows would change its summation order; it partitions the
+column axes (*kernel, channel) in blocks of at most 4 MiB instead, and
+each block gives its own rows of the weight gradient. Padding is a zeroed
+array with the input written inside. The bias gradient, like batch norm's
+statistics and gradients, is a sum over positions by
+``autodiff._channel_sum``: einsum in numpy's reduce order, so the same
+bits at a fraction of the reduce's per-position cost. The per-channel
+arithmetic, batch norm's centring, scales and shift in both passes and the
+conv bias add, runs on long rows by ``_per_channel``: whole positions
+viewed as rows with the channel vector laid out along one row, so numpy's
+inner loop runs over hundreds of elements rather than C per position. Each
+element gets the same IEEE operation on the same operands as under
+broadcasting, so the bits do not change either.
 
-Pooling, unpooling and upsampling share one window-first layout of the
+Pooling and the upsample backward share one window-first layout of the
 2 x ... x 2 windows, (2**rank, N, *spatial/2, C), C-contiguous: row k holds
 element k, in row-major window order, of every window. A trailing window
 axis of 2-8 elements would run numpy's inner loop once per window; here
@@ -42,9 +49,10 @@ every per-window step is one elementwise op over a whole row. Pooling takes
 its tie rules; the upsample backward sums the rows by ``autodiff._row_sum``
 in the order numpy's reduce adds a trailing axis, so the bits match a
 trailing-axis ``argmax`` and ``sum``. An adjoint gather/scatter pair indexes
-the layout at the flat positions ``code * M + window``: pooling gathers at
-the argmax codes, unpooling scatters to them, and each is the other's
-backward.
+the full-resolution array at each window's origin plus its code's offset:
+the max-pool backward and unpooling scatter straight into a zeroed output
+there, the unpool backward gathers from there, and each is the other's
+adjoint.
 """
 from __future__ import annotations
 
@@ -59,13 +67,27 @@ from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import Tensor, _channel_sum, _first_max, _node, _row_sum, accumulate_grad
 
-# Byte budget for one block of columns. On a 2-vCPU Xeon (OpenBLAS 0.3.31,
-# one thread) predict_volume ran about 30% faster with 4 MiB blocks than with
-# 8 or 32 MiB ones, at the same bits. The margin is thin: at 3.25 MiB the
-# narrow products of the 4-filter convs in tests/test_ops.py's BLOCKED_CONVS
-# round differently (3.5 MiB and up keep their bits at 1 and 2 BLAS threads),
-# so do not go lower without that bit check.
+# Column block budgets, measured on a 2-vCPU Xeon (2 MiB L2 per core,
+# OpenBLAS 0.3.31 SkylakeX kernels, 1 and 2 threads):
+# - Forward and input-gradient row blocks aim at _ROW_TARGET: a 4 MiB block
+#   plus BLAS's packed copy of it overflows L2. At one thread the forwards
+#   of (8,32,32,5,16)->16, (1,32,32,16,16)->16 and (8,32,32,48)->16 took
+#   24.9, 12.1 and 7.7 ms with 4 MiB blocks and 15.7, 9.5 and 4.8 ms with
+#   these (medians of 5).
+# - OpenBLAS runs an M x K by K x N product with M*N*K <= _SMALL_GEMM_MACS
+#   in its small-matrix kernel, which rounds differently, so a block's rows
+#   equal those of a larger product only above that bound (K=108, N=4: rows
+#   differ at M <= 2314 and match from 2315; K=432, N=16: differ at
+#   M <= 144, match from 145). A split keeps every block above it: balanced
+#   spans keep each block above a third of the budget, so the budget is at
+#   least three times the bound's bytes.
+# - _COLUMN_BUDGET caps every block, so products of N <= 5 columns (gemv at
+#   N = 1 among them) keep the cap's partition. Weight-gradient column
+#   blocks use the cap too: their bits held at 4-32 MiB, and narrower
+#   blocks were slower, since each repacks the whole output gradient.
 _COLUMN_BUDGET = 4 * 2**20
+_ROW_TARGET = 2**20
+_SMALL_GEMM_MACS = 10**6
 
 # Optional cost trace, the one record of what a forward pass did: while
 # trace lists are open, each structured op appends its kind, MACs and
@@ -163,22 +185,18 @@ def _conv_windows(xp: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
                       (xp.strides[0], *strides, *strides, xp.strides[-1]), writeable=False)
 
 
-def _blocks(extents: tuple[int, ...], unit_bytes: int) -> tuple[tuple, ...]:
+@functools.cache
+def _plan(extents: tuple[int, ...], unit_bytes: int, budget: int) -> tuple[tuple, ...]:
     """A partition of an array of ``extents`` at ``unit_bytes`` per element
-    into blocks within the column budget, as index tuples in order. Blocks
+    into blocks within ``budget`` bytes, as index tuples in order. Blocks
     fix one index on each axis before a leading axis, the first whose one
     index with all of the axes after it fits (else the last), and take as
     few balanced spans of it as fit, so each block is one row-major run of
-    the array. Balanced spans leave no tiny tail block, which BLAS may
-    route through a small-matrix or gemv path with other rounding; longer
-    spans come first, so each later block fits in the heap space an earlier
-    one freed."""
-    return _plan(extents, unit_bytes, _COLUMN_BUDGET)
-
-
-@functools.cache
-def _plan(extents: tuple[int, ...], unit_bytes: int, budget: int) -> tuple[tuple, ...]:
-    # a pure function of its arguments, so each conv shape plans once per process
+    the array. Balanced spans leave no tiny tail block: every block of a
+    split holds more than a third of the budget. Longer spans come first,
+    so each later block fits in the heap space an earlier one freed. A
+    pure function of its arguments, so each conv shape plans once per
+    process."""
     axis = next((i for i in range(len(extents) - 1)
                  if math.prod(extents[i + 1:]) * unit_bytes <= budget), len(extents) - 1)
     span_bytes = math.prod(extents[axis + 1:]) * unit_bytes
@@ -189,6 +207,15 @@ def _plan(extents: tuple[int, ...], unit_bytes: int, budget: int) -> tuple[tuple
                  for a, b in zip(bounds[:-1], bounds[1:]))
 
 
+def _row_blocks(rows: tuple[int, ...], k: int, cols: int, itemsize: int) -> tuple[tuple, ...]:
+    """The blocks of the ``rows`` extents of an (M, k) column matrix times
+    a (k, cols) matrix: about ``_ROW_TARGET`` bytes, each block of a split
+    above ``_SMALL_GEMM_MACS`` multiply-adds, none above ``_COLUMN_BUDGET``."""
+    # balanced spans keep each block of a split above a third of the budget
+    floor = -(-3 * _SMALL_GEMM_MACS * itemsize // cols)
+    return _plan(rows, k * itemsize, min(_COLUMN_BUDGET, max(_ROW_TARGET, floor)))
+
+
 def _im2col_matmul(win: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     """The column matrix of the window view ``win`` (see
     :func:`_conv_windows`) times ``wmat``, as an (N, *out, cols) array,
@@ -197,7 +224,7 @@ def _im2col_matmul(win: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     output."""
     n, out, (k, cols) = win.shape[0], win.shape[1:win.ndim // 2], wmat.shape
     y = np.empty((n, *out, cols))
-    for index in _blocks((n, *out), k * win.itemsize):
+    for index in _row_blocks((n, *out), k, cols, win.itemsize):
         np.matmul(win[index].reshape(-1, k), wmat, out=y[index].reshape(-1, cols, copy=False))
     return y
 
@@ -211,7 +238,7 @@ def _weight_grad(win: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     rows, head, cols = gmat.shape[0], win.ndim // 2, gmat.shape[1]
     extents = win.shape[head:]
     dw = np.empty((*extents, cols))
-    for index in _blocks(extents, rows * win.itemsize):
+    for index in _plan(extents, rows * win.itemsize, _COLUMN_BUDGET):
         block = win[(slice(None),) * head + index].reshape(rows, -1)
         np.matmul(block.T, gmat, out=dw[index].reshape(-1, cols, copy=False))
     return dw
@@ -232,6 +259,11 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
         raise ValueError(f"conv rank {rank} expects {rank + 2}D input, got {x.data.ndim}D")
     if x.data.shape[-1] != cin:
         raise ValueError(f"conv input has {x.data.shape[-1]} channels, kernel expects {cin}")
+    extents = (x.data.shape[0], cin, cout, *kernel)
+    if 0 in extents:
+        names = ("batch", "input channel", "filter", *(f"kernel axis {i}" for i in range(rank)))
+        raise ValueError(f"conv {names[extents.index(0)]} axis is empty: input {x.data.shape}, "
+                         f"kernel {w.data.shape}")
     if padded_axes is None:
         padded_axes = (True,) * rank
     if len(padded_axes) != rank:
@@ -271,46 +303,60 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     return _node(y, parents, f"conv{rank}d", bwd)
 
 
-def _window_axes(rank: int) -> tuple[int, ...]:
-    """The axis order taking (N, s1, 2, ..., sr, 2, C) to (2, ..., 2, N, s1, ..., sr, C)."""
-    return (*range(2, 2 * rank + 1, 2), 0, *range(1, 2 * rank, 2), 2 * rank + 1)
-
-
 def _windows(x: np.ndarray) -> np.ndarray:
     """(N, *spatial, C) -> (2**rank, N, *spatial/2, C), C-contiguous: row k
     holds element k, in row-major order, of every 2 x ... x 2 window."""
     n, half, c = x.shape[0], tuple(s // 2 for s in x.shape[1:-1]), x.shape[-1]
+    rank = len(half)
     xr = x.reshape((n, *(e for h in half for e in (h, 2)), c))
-    return np.ascontiguousarray(xr.transpose(_window_axes(len(half)))).reshape(
-        (2 ** len(half), n, *half, c))
+    # (N, s1, 2, ..., sr, 2, C) -> (2, ..., 2, N, s1, ..., sr, C)
+    axes = (*range(2, 2 * rank + 1, 2), 0, *range(1, 2 * rank, 2), 2 * rank + 1)
+    return np.ascontiguousarray(xr.transpose(axes)).reshape((2 ** rank, n, *half, c))
 
 
-def _unwindows(win: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_windows`: (2**rank, N, *half, C) -> (N, *2*half, C)."""
-    n, half, c = win.shape[1], win.shape[2:-1], win.shape[-1]
-    wr = win.reshape((2,) * len(half) + (n, *half, c))
-    return wr.transpose(np.argsort(_window_axes(len(half)))).reshape(
-        (n, *(2 * h for h in half), c))
+@functools.cache
+def _window_steps(pooled: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """For the C-contiguous (N, *spatial, C) array that pools to ``pooled``
+    (N, *spatial/2, C): the flat offset of each element of a 2 x ... x 2
+    window from the window's origin, in row-major window order, and per
+    pooled axis the flat step to each window origin along it, shaped to
+    broadcast over the pooled shape."""
+    full = (pooled[0], *(2 * h for h in pooled[1:-1]), pooled[-1])
+    steps = [math.prod(full[i + 1:]) for i in range(len(full))]
+    offsets = np.zeros(1, dtype=np.intp)
+    for s in steps[1:-1]:
+        offsets = np.add.outer(offsets, (0, s)).ravel()
+    hops = (steps[0], *(2 * s for s in steps[1:-1]), steps[-1])
+    origins = tuple((np.arange(e) * hop).reshape((-1,) + (1,) * (len(pooled) - 1 - i))
+                    for i, (e, hop) in enumerate(zip(pooled, hops)))
+    for a in (offsets, *origins):
+        a.flags.writeable = False  # cached, so shared by every later call
+    return offsets, origins
 
 
-def _flat(codes: np.ndarray) -> np.ndarray:
-    """Each window's element at its code, as a flat index into
-    :func:`_windows`' layout: ``codes * M + position`` over M windows."""
-    return codes * codes.size + np.arange(codes.size).reshape(codes.shape)
+def _window_index(codes: np.ndarray) -> np.ndarray:
+    """Flat indices into the C-contiguous array that pools to ``codes``'
+    shape of each 2 x ... x 2 window's element at its row-major offset in
+    ``codes``: the window's origin plus the code's offset from it."""
+    offsets, origins = _window_steps(codes.shape)
+    index = offsets[codes]
+    for origin in origins:
+        index += origin
+    return index
 
 
 def _gather(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The element of each window of ``x`` at its row-major offset in
     ``codes``, an integer array of the pooled shape."""
-    return np.take(_windows(x), _flat(codes))
+    return np.take(x, _window_index(codes))
 
 
 def _scatter(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_gather`: each value at its offset in ``codes``
-    inside its window, zero elsewhere."""
-    win = np.zeros((2 ** (codes.ndim - 2), *codes.shape))
-    np.put(win, _flat(codes), values)
-    return _unwindows(win)
+    inside its window, zero elsewhere, put straight into a zeroed output."""
+    y = np.zeros((codes.shape[0], *(2 * h for h in codes.shape[1:-1]), codes.shape[-1]))
+    np.put(y, _window_index(codes), values)
+    return y
 
 
 def maxpool_with_indices(x: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -362,8 +408,8 @@ def upsample_nearest(x: Tensor) -> Tensor:
     """Nearest-neighbour upsampling by 2 per spatial axis, of rank
     ``x.ndim - 2`` (parameter free)."""
     rank = x.data.ndim - 2
-    # np.repeat per axis: building it as _unwindows of a broadcast was 2-5x
-    # slower at C <= 8
+    # np.repeat per axis: transposing a broadcast out of the window-first
+    # layout was 2-5x slower at C <= 8
     y = x.data
     for axis in range(1, 1 + rank):
         y = np.repeat(y, 2, axis=axis)

@@ -241,6 +241,14 @@ def test_stack_depth_mismatch_rejected():
         model.forward(Tensor(np.zeros((1, 16, 16, 4))), training=False)
 
 
+@pytest.mark.parametrize("mode,d", [("end2end_2d", 1), ("proposed", 3), ("channel_based", 3),
+                                    ("end2end_3d", 8)])
+def test_empty_batch_rejected_by_name(mode, d):
+    model = assemble_model(spec(mode=mode, d=d, f=4), seed=0)
+    with pytest.raises(ValueError, match="batch axis is empty"):
+        model.forward(Tensor(np.zeros((0, 16, 16, d, 4))), training=False)
+
+
 def test_decay_set_is_conv_kernels_only():
     model = assemble_model(spec(d=3, f=4), seed=0)
     decay = model.decay_parameters()

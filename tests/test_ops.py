@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from sliceseg import ops
-from sliceseg.autodiff import Tensor, backward, mul, sum_all
+from sliceseg import models, ops
+from sliceseg.autodiff import Tensor, backward, mul, no_grad, sum_all
 from sliceseg.gradcheck import finite_difference_check
 
 
@@ -76,6 +76,23 @@ def test_conv_rejects_bias_shape_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=r"bias shape \(3,\) does not match 2 filters"):
         ops.conv_forward(rand((1, 4, 4, 1)), rand((3, 3, 1, 2)), Tensor(np.zeros(3)),
                          (True, True))
+
+
+@pytest.mark.parametrize("x_shape,w_shape,axis", [
+    ((0, 4, 4, 2), (3, 3, 2, 3), "batch"),
+    ((0, 4, 4, 4, 1), (3, 3, 3, 1, 2), "batch"),
+    ((1, 4, 4, 0), (3, 3, 0, 3), "input channel"),
+    ((1, 4, 4, 2), (3, 3, 2, 0), "filter"),
+    ((1, 4, 4, 2), (0, 3, 2, 3), "kernel axis 0"),
+    ((1, 4, 4, 4, 2), (3, 3, 0, 2, 3), "kernel axis 2"),
+])
+def test_conv_rejects_empty_axis_before_any_work(monkeypatch, x_shape, w_shape, axis):
+    def no_columns(*args):
+        raise AssertionError("columns built before the empty axis was checked")
+
+    monkeypatch.setattr(ops, "_conv_windows", no_columns)
+    with pytest.raises(ValueError, match=rf"conv {axis} axis is empty"):
+        ops.conv_forward(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), None)
 
 
 def test_conv_bias_none_supported():
@@ -237,7 +254,11 @@ def _monolithic_conv(x, w, b, g, padded_axes):
 # f=16 and one at grid_run's f=4; the forward and the input gradient take
 # blocks of whole samples or of rows of one sample, and the two 3D convs
 # with 16 and 48 input channels take channel-span weight-gradient blocks;
-# the last two add their bias over rows of one and of four channels
+# the (8, 32, 32, 7, 1) and (8, 32, 32, 16) -> 1 convs add their bias over
+# rows of one and of four channels. The last three are the workload convs
+# whose row blocks sit nearest the small-matrix bound: a valid-depth
+# transition conv, the f=16 3D decoder conv at 96 channels and the f=4 2D
+# decoder conv at 24.
 BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
                  ((8, 32, 32, 7, 16), 16, (True, True, False)),
                  ((8, 32, 32, 7, 1), 16, (True, True, False)),
@@ -245,7 +266,10 @@ BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
                  ((8, 32, 32, 48), 16, (True, True)),
                  ((8, 32, 32, 12), 4, (True, True)),
                  ((8, 32, 32, 16), 1, (True, True)),
-                 ((2, 32, 32, 5, 8), 4, (True, True, False))]
+                 ((2, 32, 32, 5, 8), 4, (True, True, False)),
+                 ((8, 32, 32, 5, 16), 16, (True, True, False)),
+                 ((1, 16, 16, 8, 96), 32, (True, True, True)),
+                 ((8, 16, 16, 24), 8, (True, True))]
 
 
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
@@ -264,11 +288,13 @@ def test_blocked_conv_equals_monolithic_columns(x_shape, cout, padded):
     np.testing.assert_array_equal(b.grad, want_gb)
 
 
-def test_blocked_conv_equals_monolithic_columns_at_one_blas_thread():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_conv_equals_monolithic_columns_at_pinned_blas_threads(threads):
     # tier 1 leaves the BLAS thread count unpinned, and some products round
-    # differently at one thread, so check the same equalities there too
+    # differently at another thread count, so check the same equalities at
+    # one and at two threads on any host
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, (str(root / "src"),
                                                        os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
@@ -282,16 +308,17 @@ def test_blocked_conv_equals_monolithic_columns_at_one_blas_thread():
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
 def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shape, cout,
                                                              padded):
-    built = []
-    real_blocks = ops._blocks
+    plans = []
+    real_plan = ops._plan
 
-    def spy(extents, unit_bytes):
-        blocks = real_blocks(extents, unit_bytes)
+    def spy(extents, unit_bytes, budget):
+        blocks = real_plan(extents, unit_bytes, budget)
         # the bytes of each block's copy: its element count at unit_bytes each
-        built.extend(np.broadcast_to(0, extents)[index].size * unit_bytes for index in blocks)
+        plans.append((budget, [np.broadcast_to(0, extents)[index].size * unit_bytes
+                               for index in blocks]))
         return blocks
 
-    monkeypatch.setattr(ops, "_blocks", spy)
+    monkeypatch.setattr(ops, "_plan", spy)
     x = rand(x_shape, seed=1)
     x.requires_grad = True
     kernel = (3,) * len(padded)
@@ -299,13 +326,63 @@ def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shap
     w.requires_grad = True
     y = ops.conv_forward(x, w, None, padded)
     backward(sum_all(y))
-    # forward and weight-gradient columns, then the input gradient's
+    # the forward's columns, then the backward's weight-gradient and input-gradient ones
+    (forward_budget, forward), (_, weight), (_, gx) = plans
     whole = math.prod(y.data.shape[:-1]) * math.prod(kernel) * x_shape[-1] * 8
     whole_gx = math.prod(x_shape[:-1]) * math.prod(kernel) * cout * 8
-    assert whole > ops._COLUMN_BUDGET  # the forward and the weight gradient must split
-    assert sum(built) == 2 * whole + whole_gx  # the blocks tile each matrix once
-    assert len(built) > 4
-    assert max(built) <= ops._COLUMN_BUDGET
+    assert whole > forward_budget  # the forward must split
+    # the weight gradient splits exactly when its columns exceed the cap
+    assert (len(weight) > 1) == (whole > ops._COLUMN_BUDGET)
+    assert sum(forward) == sum(weight) == whole and sum(gx) == whole_gx  # each tiled once
+    assert len(forward) + len(weight) + len(gx) > 4
+    assert all(size <= budget <= ops._COLUMN_BUDGET for budget, sizes in plans for size in sizes)
+
+
+# every conv of the benchmark's cells, on all four modes and both backbones:
+# (base filters, input channels, d of the two slice modes, whether it
+# trains) for train_step, predict_volume's two slice depths and grid_run;
+# each runs predict_volume's slabs, and a training batch when it trains
+WORKLOAD_SHAPES = [(16, 1, 7, True), (16, 4, 13, False), (16, 4, 5, False), (4, 1, 3, True)]
+
+
+@pytest.mark.parametrize("base_filters,channels,slice_d,trains", WORKLOAD_SHAPES)
+def test_workload_row_blocks_stay_within_4_mib_and_above_the_small_matrix_bound(
+        monkeypatch, base_filters, channels, slice_d, trains):
+    # OpenBLAS rounds a product of at most 10**6 multiply-adds in its
+    # small-matrix kernel, so a block that small would change the bits of a
+    # split product; at one column (gemv) no block can both pass that bound
+    # and stay within 4 MiB, and the gemv path keeps the 4 MiB partition
+    products = []
+    real_row_blocks = ops._row_blocks
+
+    def spy(rows, k, cols, itemsize):
+        blocks = real_row_blocks(rows, k, cols, itemsize)
+        products.append((rows, k, cols, [np.broadcast_to(0, rows)[index].size
+                                         for index in blocks]))
+        return blocks
+
+    monkeypatch.setattr(ops, "_row_blocks", spy)
+    rng = np.random.default_rng(0)
+    for mode, backbone in [(m, b) for m in ("end2end_2d", "proposed", "channel_based",
+                                            "end2end_3d") for b in ("unet", "segnet")]:
+        d = {"end2end_2d": 1, "end2end_3d": 16}.get(mode, slice_d)
+        model = models.assemble_model(models.ModelSpec(mode, backbone, d, channels, 3,
+                                                       base_filters=base_filters))
+        # training batches of 8 stacks (one volume tile in 3D); predict_volume's
+        # slabs of 8 slice centres with d // 2 neighbours on either side
+        batch, slab = (1, d) if mode == "end2end_3d" else (8, d + 7)
+        if trains:
+            y = model.forward(Tensor(rng.normal(size=(batch, 32, 32, d, channels))),
+                              training=True)
+            backward(sum_all(y))
+        with no_grad():
+            model.forward(Tensor(rng.normal(size=(1, 32, 32, slab, channels))))
+    assert any(len(sizes) > 1 for *_, sizes in products)
+    for rows, k, cols, sizes in products:
+        assert sum(sizes) == math.prod(rows)
+        assert max(sizes) * k * 8 <= 4 * 2**20, (rows, k, cols)
+        if len(sizes) > 1 and cols >= 2:
+            assert min(sizes) * k * cols > 10**6, (rows, k, cols)
 
 
 @settings(deadline=None, max_examples=200)
@@ -322,6 +399,8 @@ def test_plan_tiles_in_order_with_contiguous_blocks_within_budget(extents, unit_
     for index in blocks:
         assert a[index].flags.c_contiguous
         assert a[index].size * unit_bytes <= max(budget, unit_bytes)
+        # the conv row budgets rely on this to keep split blocks above a bound
+        assert len(blocks) == 1 or a[index].size * unit_bytes > budget / 3
 
 
 @settings(deadline=None, max_examples=60)
@@ -370,7 +449,9 @@ def test_windows_hold_each_window_in_row_major_order(case):
     win = ops._windows(x)
     assert win.shape == (2**rank, x.shape[0], *(s // 2 for s in x.shape[1:-1]), x.shape[-1])
     assert win.flags.c_contiguous
-    np.testing.assert_array_equal(ops._unwindows(win), x)
+    # the gather/scatter pair indexes the same window order as pooling's codes
+    for k in range(2**rank):
+        np.testing.assert_array_equal(ops._gather(x, np.full(win.shape[1:], k)), win[k])
     for k, n, *i, c in np.ndindex(win.shape):
         offset = np.unravel_index(k, (2,) * rank)
         assert win[(k, n, *i, c)] == x[(n, *(2 * a + b for a, b in zip(i, offset)), c)]
