@@ -24,13 +24,12 @@ class Tensor:
     their parents for the backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.op = "leaf"
         self.parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -38,7 +37,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class _GradMode(threading.local):
@@ -61,13 +60,12 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
+def _node(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result. Under :func:`no_grad` the result keeps neither
     parents nor closure; otherwise the closure is kept when some parent
     needs gradients."""
     out = Tensor(data)
-    out.op = op
     if not _grad_mode.enabled:
         return out
     out.parents = tuple(parents)
@@ -143,14 +141,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(a, g)
         accumulate_grad(b, g)
 
-    return _node(a.data + b.data, (a, b), "add", bwd)
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def add_const(x: Tensor, c: float) -> Tensor:
     def bwd(g):
         accumulate_grad(x, g)
 
-    return _node(x.data + c, (x,), "add_const", bwd)
+    return _node(x.data + c, (x,), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -161,14 +159,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(a, g * b.data)
         accumulate_grad(b, g * a.data)
 
-    return _node(a.data * b.data, (a, b), "mul", bwd)
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     def bwd(g):
         accumulate_grad(x, g * c)
 
-    return _node(x.data * c, (x,), "scale", bwd)
+    return _node(x.data * c, (x,), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -180,14 +178,14 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(a, g / b.data)
         accumulate_grad(b, -g * out / b.data)
 
-    return _node(out, (a, b), "div", bwd)
+    return _node(out, (a, b), bwd)
 
 
 def log(x: Tensor) -> Tensor:
     def bwd(g):
         accumulate_grad(x, g / x.data)
 
-    return _node(np.log(x.data), (x,), "log", bwd)
+    return _node(np.log(x.data), (x,), bwd)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -198,14 +196,14 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     def bwd(g):
         accumulate_grad(x, g * inside)
 
-    return _node(np.clip(x.data, lo, hi), (x,), "clip", bwd)
+    return _node(np.clip(x.data, lo, hi), (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         accumulate_grad(x, np.broadcast_to(g, x.data.shape))
 
-    return _node(np.asarray(x.data.sum()), (x,), "sum", bwd)
+    return _node(np.asarray(x.data.sum()), (x,), bwd)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -214,7 +212,7 @@ def mean_all(x: Tensor) -> Tensor:
     def bwd(g):
         accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
 
-    return _node(np.asarray(x.data.mean()), (x,), "mean", bwd)
+    return _node(np.asarray(x.data.mean()), (x,), bwd)
 
 
 def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -294,7 +292,7 @@ def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     def bwd(g):
         accumulate_grad(x, np.broadcast_to(g.reshape(expand_shape), x.data.shape))
 
-    return _node(out, (x,), "sum_axes", bwd)
+    return _node(out, (x,), bwd)
 
 
 def fold_windows(x: Tensor, d: int) -> Tensor:
@@ -318,7 +316,7 @@ def fold_windows(x: Tensor, d: int) -> Tensor:
             gx[:, :, :, k:k + windows] += g[..., k, :]
         accumulate_grad(x, gx)
 
-    return _node(out, (x,), "fold_windows", bwd)
+    return _node(out, (x,), bwd)
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
@@ -333,7 +331,7 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
             idx[axis] = slice(lo, hi)
             accumulate_grad(p, g[tuple(idx)])
 
-    return _node(out, parts, "concat", bwd)
+    return _node(out, parts, bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -366,4 +364,4 @@ def softmax(x: Tensor) -> Tensor:
             np.subtract(g[..., c], dot, out=gx[..., c])
         accumulate_grad(x, np.multiply(y, gx, out=gx))
 
-    return _node(y, (x,), "softmax", bwd)
+    return _node(y, (x,), bwd)

@@ -21,7 +21,7 @@ from . import analysis, volio
 from .autodiff import Tensor, no_grad
 from .config import (ConfigError, ExperimentConfig, SourceConfig, config_to_dict,
                      expand_grid, load_config, save_config)
-from .data import NORMALIZERS, check_fold_sizes, make_folds
+from .data import NORMALIZERS, fold_bounds, make_folds
 from .models import ModelSpec, assemble_model
 from .phantom import LabeledVolume, dataset_preset, generate_cohort
 from .training import (AdamState, EpochRecord, build_samples, evaluate, run_training,
@@ -51,8 +51,21 @@ def load_source(source: SourceConfig) -> list[LabeledVolume]:
 
 
 def cohort_num_classes(labels: list[np.ndarray]) -> int:
-    """Label count of a cohort's label maps: one more than the largest label."""
-    return int(max(m.max() for m in labels)) + 1
+    """Class count of a cohort's label maps: one more than the largest
+    label. Raises ``ValueError`` when no map holds a foreground label or a
+    label below the largest appears in no map."""
+    # one sorted scan per map gives both the largest label and the gaps
+    found = [np.unique(m) for m in labels]
+    num_classes = int(max(f[-1] for f in found)) + 1
+    if num_classes < 2:
+        raise ValueError("no case holds a foreground label")
+    present = np.zeros(num_classes, dtype=bool)
+    for f in found:
+        present[f] = True
+    if not present.all():
+        raise ValueError(f"label {int(np.argmin(present))} appears in no case "
+                         f"(largest label {num_classes - 1})")
+    return num_classes
 
 
 def source_fingerprint(volumes: list[LabeledVolume]) -> str:
@@ -126,7 +139,7 @@ def _cohort_cells(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> list[M
     ``folds.count``, or a ``patch_depth`` deeper than the shallowest
     volume."""
     try:
-        check_fold_sizes(len(volumes), cfg.folds.count)
+        fold_bounds(len(volumes), cfg.folds.count)
     except ValueError as e:
         raise ConfigError(f"'folds.count': {e}") from e
     hwc = [(*v.image.shape[:2], v.image.shape[3]) for v in volumes]
@@ -138,17 +151,10 @@ def _cohort_cells(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> list[M
         raise ConfigError(f"'source.directory': case {volumes[0].patient_id!r} has (H, W) "
                           f"{hwc[0][:2]}, but both backbones pool three times, so H and W "
                           f"must be multiples of 8")
-    # one sorted scan per volume gives both the largest label and the gaps
-    found = [np.unique(v.labels) for v in volumes]
-    num_classes = int(max(labels[-1] for labels in found)) + 1
-    if num_classes < 2:
-        raise ConfigError("'source.directory': no case holds a foreground label")
-    present = np.zeros(num_classes, dtype=bool)
-    for labels in found:
-        present[labels] = True
-    if not present.all():
-        raise ConfigError(f"'source.directory': label {int(np.argmin(present))} appears in "
-                          f"no case (largest label {num_classes - 1})")
+    try:
+        num_classes = cohort_num_classes([v.labels for v in volumes])
+    except ValueError as e:
+        raise ConfigError(f"'source.directory': {e}") from e
     depth = min(v.labels.shape[2] for v in volumes)
     if "end2end_3d" in cfg.grid.modes and cfg.grid.patch_depth > depth:
         raise ConfigError(f"'grid.patch_depth': {cfg.grid.patch_depth} is deeper than "
@@ -156,16 +162,15 @@ def _cohort_cells(cfg: ExperimentConfig, volumes: list[LabeledVolume]) -> list[M
     return expand_grid(cfg.grid, in_channels=hwc[0][2], num_classes=num_classes)
 
 
-def _metrics_problem(path: str) -> str | None:
-    """Why a fold's ``metrics.json`` cannot stand as its result, or None
-    when it reads as a JSON object."""
+def _fold_metrics(path: str) -> dict:
+    """A fold's ``metrics.json``; a missing file, text that is not JSON or
+    JSON that is not an object raises ``ValueError`` naming ``path``."""
     if not os.path.exists(path):
-        return "metrics.json missing"
-    try:
-        metrics = volio.read_json(path)
-    except ValueError:
-        return "metrics.json is not valid JSON"
-    return None if isinstance(metrics, dict) else "metrics.json is not a JSON object"
+        raise ValueError(f"missing result {path}; run the grid to completion first")
+    metrics = volio.read_json(path)
+    if not isinstance(metrics, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    return metrics
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
@@ -206,11 +211,13 @@ def run_grid(cfg: ExperimentConfig, out_dir: str, log=print) -> str:
             if os.path.exists(marker):
                 with open(marker, "r", encoding="utf-8") as fh:
                     if fh.read().strip() == want:
-                        problem = _metrics_problem(os.path.join(fold_dir, "metrics.json"))
-                        if problem is None:
+                        try:
+                            _fold_metrics(os.path.join(fold_dir, "metrics.json"))
+                        except ValueError as e:
+                            log(f"[redo] {name} fold{fold_index} ({e})")
+                        else:
                             log(f"[skip] {name} fold{fold_index} (complete)")
                             continue
-                        log(f"[redo] {name} fold{fold_index} ({problem})")
             metrics = _train_one_fold(spec, cfg, fold_index, split, by_id, fold_dir)
             with open(marker, "w", encoding="utf-8") as fh:
                 fh.write(want + "\n")
@@ -226,10 +233,8 @@ def _fold_score(path: str) -> float:
     """The mean foreground Dice a fold's metrics.json holds; a missing,
     malformed, unscored or non-finite file raises ``ValueError`` naming its
     path."""
-    if not os.path.exists(path):
-        raise ValueError(f"missing result {path}; run the grid to completion first")
-    metrics = volio.read_json(path)
-    if not isinstance(metrics, dict) or "mean_foreground_dsc" not in metrics:
+    metrics = _fold_metrics(path)
+    if "mean_foreground_dsc" not in metrics:
         raise ValueError(f"{path} has no 'mean_foreground_dsc' field")
     score = metrics["mean_foreground_dsc"]
     if score is None:
@@ -339,10 +344,7 @@ def _cmd_profile(args) -> int:
 def _cmd_features(args) -> int:
     stems = volio.list_case_stems(args.dir)
     labels = [volio.load_labels(args.dir, s) for s in stems]
-    num_classes = cohort_num_classes(labels)
-    if num_classes < 2:
-        raise ValueError("no foreground classes present in the volume directory")
-    rows = analysis.class_feature_table(labels, num_classes)
+    rows = analysis.class_feature_table(labels, cohort_num_classes(labels))
     columns = ("depth", "size_fraction", "displacement")
     table = [[r["class_id"], *(r[c] for c in columns)] for r in rows]
     for agg_name, fn in (("min", min), ("mean", lambda v: sum(v) / len(v)), ("max", max)):

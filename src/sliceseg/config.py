@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from . import volio
-from .data import NORMALIZERS, check_fold_sizes
+from .data import NORMALIZERS, fold_bounds
 from .models import BACKBONES, MODES, ModelSpec
 from .training import TrainConfig
 
@@ -114,7 +114,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.source.kind == "phantom":
             try:
-                check_fold_sizes(self.source.num_volumes, self.folds.count)
+                fold_bounds(self.source.num_volumes, self.folds.count)
             except ValueError as e:
                 raise ConfigError(f"'folds.count': {e}") from e
 

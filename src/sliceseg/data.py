@@ -173,38 +173,44 @@ class FoldSplit:
     test: tuple[str, ...]
 
 
+def fold_bounds(num_patients: int, num_folds: int) -> list[tuple[int, int, int]]:
+    """Each fold's ``(start, end, n_val)`` over the shuffled patients: the
+    test partition is ``order[start:end]``, with ``num_folds`` blocks cut
+    as ``np.array_split`` cuts them, and val is the first ``n_val`` of the
+    rest. Raises ``ValueError`` when some fold would get an empty train,
+    val or test partition; needs the counts only, not the ids."""
+    if num_folds < 2:
+        raise ValueError("need at least 2 folds")
+    size, larger = divmod(num_patients, num_folds)
+    bounds = []
+    for k in range(num_folds):
+        start = k * size + min(k, larger)
+        end = start + size + (k < larger)
+        rest = num_patients - (end - start)
+        n_val = int(round(VAL_FRACTION * rest))
+        if not (start < end and 0 < n_val < rest):
+            raise ValueError(f"{num_patients} patients are too few for {num_folds} folds "
+                             "with non-empty train/val/test")
+        bounds.append((start, end, n_val))
+    return bounds
+
+
 def make_folds(patient_ids, num_folds: int = 5, seed: int = 0) -> list[FoldSplit]:
     """Patient-level cross-validation splits.
 
     Patients are shuffled once, the test partition rotates over
     ``num_folds`` equal blocks, and the remaining patients are split
-    val/train by ``VAL_FRACTION``. Every patient appears in exactly one
-    partition per fold.
+    val/train by ``VAL_FRACTION`` (see :func:`fold_bounds`). Every patient
+    appears in exactly one partition per fold.
     """
     ids = list(patient_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("patient ids must be unique")
-    check_fold_sizes(len(ids), num_folds)
+    bounds = fold_bounds(len(ids), num_folds)
     rng = np.random.default_rng(seed)
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    blocks = [list(b) for b in np.array_split(np.array(order, dtype=object), num_folds)]
+    order = tuple(ids[i] for i in rng.permutation(len(ids)))
     folds = []
-    for k in range(num_folds):
-        rest = [pid for j, b in enumerate(blocks) if j != k for pid in b]
-        n_val = int(round(VAL_FRACTION * len(rest)))
-        folds.append(FoldSplit(train=tuple(rest[n_val:]), val=tuple(rest[:n_val]),
-                               test=tuple(blocks[k])))
+    for start, end, n_val in bounds:
+        rest = order[:start] + order[end:]
+        folds.append(FoldSplit(train=rest[n_val:], val=rest[:n_val], test=order[start:end]))
     return folds
-
-
-def check_fold_sizes(num_patients: int, num_folds: int) -> None:
-    """Raise ``ValueError`` unless every fold of ``make_folds`` gets non-empty
-    train, val and test partitions; needs the counts only, not the ids."""
-    if num_folds < 2:
-        raise ValueError("need at least 2 folds")
-    # array_split's test blocks hold floor(n/k) or ceil(n/k) patients
-    for test in {num_patients // num_folds, -(-num_patients // num_folds)}:
-        n_val = int(round(VAL_FRACTION * (num_patients - test)))
-        if min(test, n_val, num_patients - test - n_val) < 1:
-            raise ValueError(f"{num_patients} patients are too few for {num_folds} folds "
-                             "with non-empty train/val/test")

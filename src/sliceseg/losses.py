@@ -85,6 +85,4 @@ def cross_entropy_loss(u, v) -> Tensor:
 
 def combined_loss(u, v) -> Tensor:
     """Sum of the soft overlap loss and the cross-entropy term."""
-    u = _as_tensor(u)
-    v = _as_tensor(v)
     return ad.add(soft_dice_loss(u, v), cross_entropy_loss(u, v))

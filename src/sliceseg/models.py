@@ -151,19 +151,17 @@ class EncoderDecoder:
     """U-shaped backbone over rank-2 or rank-3 feature maps.
 
     Three encoder levels at (f, 2f, 4f) filters with two conv blocks each,
-    an 8f bottleneck, and a mirrored decoder. ``skips="concat"`` upsamples
-    by nearest neighbour and concatenates the encoder feature map at each
-    level; ``skips="indices"`` reuses the pooling argmax positions to
-    unpool (no concatenation), with the channel reduction applied before
-    unpooling so the index map channels line up.
+    an 8f bottleneck, and a mirrored decoder. With ``concat`` (U-Net) the
+    decoder upsamples by nearest neighbour and concatenates the encoder
+    feature map at each level; without it (SegNet) it reuses the pooling
+    argmax positions to unpool (no concatenation), with the channel
+    reduction applied before unpooling so the index map channels line up.
     """
 
     def __init__(self, rng, rank: int, in_channels: int, num_classes: int,
-                 base_filters: int, skips: str):
-        if skips not in ("concat", "indices"):
-            raise ValueError(f"unknown skip style {skips!r}")
+                 base_filters: int, concat: bool):
         f = base_filters
-        self.skips = skips
+        self.concat = concat
         widths = [f, 2 * f, 4 * f]
         self.enc: list[tuple[ConvBlock, ConvBlock]] = []
         cin = in_channels
@@ -174,7 +172,7 @@ class EncoderDecoder:
         self.dec: list[tuple[ConvBlock, ConvBlock]] = []
         prev = 8 * f
         for w in reversed(widths):
-            first_in = prev + w if skips == "concat" else prev
+            first_in = prev + w if concat else prev
             self.dec.append((ConvBlock(rng, rank, first_in, w), ConvBlock(rng, rank, w, w)))
             prev = w
         self.out = Conv(rng, rank, f, num_classes, kernel=1)
@@ -189,7 +187,7 @@ class EncoderDecoder:
             t, idx = ops.maxpool_with_indices(t)
             index_maps.append(idx)
         t = self.bott[1].forward(self.bott[0].forward(t, training), training)
-        if self.skips == "concat":
+        if self.concat:
             for (a, b), skip in zip(self.dec, reversed(feature_maps)):
                 t = ops.upsample_nearest(t)
                 t = ad.concat([t, skip], axis=-1)
@@ -228,9 +226,8 @@ class SegmentationModel:
             backbone_in = spec.d * spec.in_channels
         else:
             backbone_in = spec.in_channels
-        skips = "concat" if spec.backbone == "unet" else "indices"
-        self.backbone = EncoderDecoder(rng, spec.rank(), backbone_in,
-                                       spec.num_classes, spec.base_filters, skips)
+        self.backbone = EncoderDecoder(rng, spec.rank(), backbone_in, spec.num_classes,
+                                       spec.base_filters, concat=spec.backbone == "unet")
 
     def iter_layers(self):
         if self.transition is not None:

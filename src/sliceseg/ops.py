@@ -17,17 +17,14 @@ row-major run of the array it partitions, and each block's product is
 written straight into its own rows of the output through
 ``matmul(out=...)``, with no product temporary. The forward and the input
 gradient partition the (N, *out) rows into blocks sized for the cache and
-for BLAS's path (``_row_blocks``): about 1 MiB, since a 4 MiB block plus
-BLAS's packed copy of it overflows a 2 MiB L2; never above 4 MiB; and,
-when a product splits, every block above 10**6 multiply-adds. OpenBLAS
-multiplies a product of at most 10**6 multiply-adds in its small-matrix
-kernel, which rounds differently (for K=108, N=4 a block's rows differ
-from the whole product's at M <= 2314 rows and match from 2315; for
-K=432, N=16 they differ at M <= 144 and match from 145). Above that bound
-every output row is the same dot product as in one whole product, so the
-bits do not change. The weight gradient sums over every output row, so
-splitting the rows would change its summation order; it partitions the
-column axes (*kernel, channel) in blocks of at most 4 MiB instead, and
+for BLAS's path (``_row_blocks``; the measurements behind the sizes are at
+the budget constants): near ``_ROW_TARGET``, never above
+``_COLUMN_BUDGET``, and, when a product splits, every block above BLAS's
+small-matrix bound ``_SMALL_GEMM_MACS``. Above that bound every output row
+is the same dot product as in one whole product, so the bits do not
+change. The weight gradient sums over every output row, so splitting the
+rows would change its summation order; it partitions the column axes
+(*kernel, channel) in blocks of at most ``_COLUMN_BUDGET`` instead, and
 each block gives its own rows of the weight gradient. Padding is a zeroed
 array with the input written inside. The bias gradient, like batch norm's
 statistics and gradients, is a sum over positions by
@@ -300,7 +297,7 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
                                               wflip.reshape(-1, cin)))
 
     parents = (x, w) if b is None else (x, w, b)
-    return _node(y, parents, f"conv{rank}d", bwd)
+    return _node(y, parents, bwd)
 
 
 def _windows(x: np.ndarray) -> np.ndarray:
@@ -377,7 +374,7 @@ def maxpool_with_indices(x: Tensor) -> tuple[Tensor, np.ndarray]:
     def bwd(g):
         accumulate_grad(x, _scatter(g, codes))
 
-    return _node(pooled, (x,), f"maxpool{rank}d", bwd), codes
+    return _node(pooled, (x,), bwd), codes
 
 
 def max_unpool(x: Tensor, codes: np.ndarray) -> Tensor:
@@ -401,7 +398,7 @@ def max_unpool(x: Tensor, codes: np.ndarray) -> Tensor:
     def bwd(g):
         accumulate_grad(x, _gather(g, codes))
 
-    return _node(y, (x,), f"max_unpool{rank}d", bwd)
+    return _node(y, (x,), bwd)
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
@@ -424,7 +421,7 @@ def upsample_nearest(x: Tensor) -> Tensor:
         win = _windows(g)
         accumulate_grad(x, sum(win) if in_sequence else _row_sum(win))
 
-    return _node(y, (x,), f"upsample{rank}d", bwd)
+    return _node(y, (x,), bwd)
 
 
 # Batch norm constants: running-average momentum and variance offset.
@@ -496,4 +493,4 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                 gx = _per_channel(g, (np.multiply, gamma.data), (np.multiply, inv_std))
             accumulate_grad(x, gx)
 
-    return _node(y, (x, gamma, beta), "batch_norm", bwd)
+    return _node(y, (x, gamma, beta), bwd)

@@ -44,11 +44,11 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    """Parse one JSON file; text that is not JSON raises ``ValueError``
-    naming ``path``."""
+    """Parse one JSON file; bytes that are not UTF-8 JSON text raise
+    ``ValueError`` naming ``path``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"{path} is not valid JSON: {e}") from e
 
 

@@ -55,8 +55,7 @@ def test_backward_frees_interior_grads_and_zeros_unreached_leaves():
     # "first" routes its gradient to x only, so p's branch never sees one
     x, p = t([1.0, 2.0]), t([3.0, 4.0])
     hidden = ad.scale(p, 2.0)
-    first = ad._node(x.data.copy(), (x, hidden), "first",
-                     lambda g: ad.accumulate_grad(x, g))
+    first = ad._node(x.data.copy(), (x, hidden), lambda g: ad.accumulate_grad(x, g))
     y = ad.mul(first, first)
     loss = ad.sum_all(y)
     backward(loss)

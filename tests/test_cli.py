@@ -379,11 +379,8 @@ def test_deleted_fold_is_retrained_identically(grid_run, tmp_path):
         assert fh.read() == before
 
 
-@pytest.mark.parametrize("damage,reason", [
-    ("missing", "metrics.json missing"),
-    ("truncated", "metrics.json is not valid JSON"),
-], ids=["missing", "truncated"])
-def test_marked_fold_without_readable_metrics_is_retrained(grid_run, damage, reason):
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_marked_fold_without_readable_metrics_is_retrained(grid_run, damage):
     # a matching done.marker must not skip a fold whose result is gone,
     # or write_aggregate fails on every rerun
     cfg_path, out_dir, _ = grid_run
@@ -395,9 +392,13 @@ def test_marked_fold_without_readable_metrics_is_retrained(grid_run, damage, rea
         aggregate_before = fh.read()
     if damage == "missing":
         os.remove(metrics_path)
+        reason = f"missing result {metrics_path}; run the grid to completion first"
     else:
         with open(metrics_path, "wb") as fh:
             fh.write(before[:len(before) // 2])
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads(before[:len(before) // 2])
+        reason = f"{metrics_path} is not valid JSON: {decode.value}"
     lines = []
     cli.run_grid(load_config(cfg_path), out_dir, log=lines.append)
     redone = [l for l in lines if not l.startswith("[skip]")]
@@ -743,8 +744,18 @@ def test_features_verb_without_foreground_exits_nonzero(tmp_path, capsys):
         volio.save_case(tmp_path, dataclasses.replace(v, labels=np.zeros_like(v.labels)))
     assert cli.main(["features", str(tmp_path)]) == 1
     captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no case holds a foreground label\n")
+
+
+def test_features_verb_with_a_label_gap_exits_nonzero(tmp_path, capsys):
+    # the same label checks as the run gate: a class no case holds has no features
+    for v in generate_cohort(dataset_presets()["organ_and_lesion"], 2, seed=0):
+        volio.save_case(tmp_path, dataclasses.replace(v, labels=np.where(v.labels == 1, 0,
+                                                                         v.labels)))
+    assert cli.main(["features", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", "error: no foreground classes present in the volume directory\n")
+        "", "error: label 1 appears in no case (largest label 2)\n")
 
 
 def test_profile_times_warm_repeats_of_the_training_step(grid_run, tmp_path, monkeypatch):

@@ -11,8 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from sliceseg import volio
 from sliceseg.data import (VAL_FRACTION, AugmentParams, SliceSample, augment,
-                           check_fold_sizes, extract_stack, make_folds, normalize_ct,
-                           normalize_zscore)
+                           extract_stack, make_folds, normalize_ct, normalize_zscore)
 from sliceseg.phantom import LabeledVolume, PhantomRecipe, generate_phantom
 
 
@@ -197,27 +196,27 @@ def test_folds_reject_duplicates_and_tiny_cohorts():
 
 
 def _every_fold_filled(n, k):
-    # the per-fold emptiness check make_folds ran before the size rule
-    blocks = np.array_split(np.arange(n), k)
-    for i, test in enumerate(blocks):
-        rest = [pid for j, b in enumerate(blocks) if j != i for pid in b]
-        n_val = int(round(VAL_FRACTION * len(rest)))
-        if not (len(test) and rest[:n_val] and rest[n_val:]):
-            return False
-    return True
+    # an oracle apart from make_folds: each fold's (train, val, test) sizes
+    # with np.array_split's test blocks, or None when one is empty
+    sizes = []
+    for test in np.array_split(np.arange(n), k):
+        n_val = int(round(VAL_FRACTION * (n - len(test))))
+        sizes.append((n - len(test) - n_val, n_val, len(test)))
+    return sizes if min(min(s) for s in sizes) > 0 else None
 
 
 def test_fold_size_rule_matches_the_built_partitions():
     for n in range(40):
         for k in range(2, 12):
-            if _every_fold_filled(n, k):
-                check_fold_sizes(n, k)
+            sizes = _every_fold_filled(n, k)
+            if sizes:
                 folds = make_folds(range(n), k)
-                assert all(f.train and f.val and f.test for f in folds)
+                assert [(len(f.train), len(f.val), len(f.test)) for f in folds] == sizes
+                assert all(sorted(f.train + f.val + f.test) == list(range(n)) for f in folds)
             else:
-                for check in (lambda: check_fold_sizes(n, k), lambda: make_folds(range(n), k)):
-                    with pytest.raises(ValueError, match="too few"):
-                        check()
+                with pytest.raises(ValueError, match=f"^{n} patients are too few for {k} folds "
+                                   "with non-empty train/val/test$"):
+                    make_folds(range(n), k)
 
 
 # ---------------------------------------------------------------------------
@@ -348,4 +347,7 @@ def test_json_reads_back_what_it_writes_and_names_bad_text(tmp_path):
     assert volio.read_json(path) == record
     path.write_text('{"a": 1,\n', encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not valid JSON: Expecting"):
+        volio.read_json(path)
+    path.write_bytes(b'{"a": "\xff"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not valid JSON: 'utf-8'"):
         volio.read_json(path)
