@@ -130,25 +130,7 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and reduction primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, g)
-
-    return _node(a.data + b.data, (a, b), bwd)
-
-
-def add_const(x: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        accumulate_grad(x, g)
-
-    return _node(x.data + c, (x,), bwd)
+# mul and sum_all turn any output into a scalar that backward accepts
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -162,57 +144,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, (a, b), bwd)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        accumulate_grad(x, g * c)
-
-    return _node(x.data * c, (x,), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"div: shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = a.data / b.data
-
-    def bwd(g):
-        accumulate_grad(a, g / b.data)
-        accumulate_grad(b, -g * out / b.data)
-
-    return _node(out, (a, b), bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    def bwd(g):
-        accumulate_grad(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), bwd)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; the gradient is passed through strictly inside the
-    interval and zero where clamping was active."""
-    inside = (x.data > lo) & (x.data < hi)
-
-    def bwd(g):
-        accumulate_grad(x, g * inside)
-
-    return _node(np.clip(x.data, lo, hi), (x,), bwd)
-
-
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         accumulate_grad(x, np.broadcast_to(g, x.data.shape))
 
     return _node(np.asarray(x.data.sum()), (x,), bwd)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bwd(g):
-        accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
-
-    return _node(np.asarray(x.data.mean()), (x,), bwd)
 
 
 def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -279,20 +215,6 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
     for r in rows[n - n % 8:]:
         total += r
     return total + 0.0
-
-
-def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    axes = tuple(a % x.data.ndim for a in axes)
-    if axes == tuple(range(x.data.ndim - 1)):
-        out = _channel_sum(x.data)
-    else:
-        out = x.data.sum(axis=axes)
-    expand_shape = tuple(1 if i in axes else s for i, s in enumerate(x.data.shape))
-
-    def bwd(g):
-        accumulate_grad(x, np.broadcast_to(g.reshape(expand_shape), x.data.shape))
-
-    return _node(out, (x,), bwd)
 
 
 def fold_windows(x: Tensor, d: int) -> Tensor:

@@ -3,28 +3,39 @@
 Predicted distributions and targets are channels-last arrays whose
 trailing axis indexes the classes; any leading axes (batch, spatial) are
 treated as independent positions. Targets are one-hot and never receive
-gradients.
+gradients: each loss is one graph node whose only parent is the
+prediction, and a target passed as a :class:`Tensor` is read as data.
+
+Each backward is written out, the way ``softmax``'s is. Floating-point
+addition is not associative, so how the gradient terms on the prediction
+are grouped is part of the result: regrouping them moves trained weights
+in their last bits and, through them, every grid output. The combined
+loss's gradient is (Dice intersection term + Dice denominator term) +
+cross-entropy term, that is, the whole soft Dice gradient is formed
+first and the cross-entropy gradient is added to it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _channel_sum, _node, accumulate_grad
 
 SOFT_DICE_EPSILON = 1e-7
 PROBABILITY_FLOOR = 1e-12
 
 
-def _as_tensor(v) -> Tensor:
-    return v if isinstance(v, Tensor) else Tensor(v)
-
-
-def _check_pair(u: Tensor, v: Tensor) -> None:
-    if u.data.shape != v.data.shape:
-        raise ValueError(f"prediction shape {u.data.shape} != target shape {v.data.shape}")
+def _check_pair(u, v) -> tuple[Tensor, np.ndarray]:
+    """The prediction as a tensor and the target as a float64 array, once
+    they agree in shape and hold at least one position and one class."""
+    u = u if isinstance(u, Tensor) else Tensor(u)
+    v = np.asarray(v.data if isinstance(v, Tensor) else v, dtype=np.float64)
+    if u.data.shape != v.shape:
+        raise ValueError(f"prediction shape {u.data.shape} != target shape {v.shape}")
     if u.data.ndim < 2:
-        raise ValueError("expected at least (positions, classes) axes")
+        raise ValueError(f"expected at least (positions, classes) axes, got shape {v.shape}")
+    if v.size == 0:
+        raise ValueError(f"loss inputs of shape {v.shape} hold no positions or no classes")
+    return u, v
 
 
 def hard_dice(pred_mask: np.ndarray, true_mask: np.ndarray) -> float:
@@ -50,6 +61,33 @@ def dice_per_class(pred_labels: np.ndarray, true_labels: np.ndarray,
     return [hard_dice(pred_labels == k, true_labels == k) for k in range(num_classes)]
 
 
+def _soft_dice(u: np.ndarray, v: np.ndarray):
+    """Soft Dice's value and the map from an incoming gradient to the
+    gradient on ``u``."""
+    den = (_channel_sum(u) + _channel_sum(v)) + SOFT_DICE_EPSILON
+    per_class = (_channel_sum(u * v) * -2.0) / den
+
+    def grad(g):
+        gc = g / len(per_class)
+        gu = ((gc / den) * -2.0) * v
+        gu += -gc * per_class / den
+        return gu
+
+    return per_class.mean(), grad
+
+
+def _cross_entropy(u: np.ndarray, v: np.ndarray):
+    """Cross-entropy's value and the map from an incoming gradient to the
+    gradient on ``u``, which is 0 wherever the clamp is active."""
+    clipped = np.clip(u, PROBABILITY_FLOOR, 1.0)
+    c = -1.0 / (u.size // u.shape[-1])
+
+    def grad(g):
+        return ((g * c) * v) / clipped * ((u > PROBABILITY_FLOOR) & (u < 1.0))
+
+    return (v * np.log(clipped)).sum() * c, grad
+
+
 def soft_dice_loss(u, v) -> Tensor:
     """Differentiable overlap loss in [-1, 0].
 
@@ -57,15 +95,9 @@ def soft_dice_loss(u, v) -> Tensor:
     classes (background included):
         -2 sum(u v) / (sum(u) + sum(v) + SOFT_DICE_EPSILON)
     """
-    u = _as_tensor(u)
-    v = _as_tensor(v)
-    _check_pair(u, v)
-    position_axes = tuple(range(u.data.ndim - 1))
-    intersection = ad.sum_axes(ad.mul(u, v), position_axes)
-    denom = ad.add_const(
-        ad.add(ad.sum_axes(u, position_axes), ad.sum_axes(v, position_axes)), SOFT_DICE_EPSILON)
-    per_class = ad.div(ad.scale(intersection, -2.0), denom)
-    return ad.mean_all(per_class)
+    u, v = _check_pair(u, v)
+    value, grad = _soft_dice(u.data, v)
+    return _node(value, (u,), lambda g: accumulate_grad(u, grad(g)))
 
 
 def cross_entropy_loss(u, v) -> Tensor:
@@ -74,15 +106,20 @@ def cross_entropy_loss(u, v) -> Tensor:
     Probabilities are clamped to [PROBABILITY_FLOOR, 1] before the log so
     confident wrong predictions stay finite.
     """
-    u = _as_tensor(u)
-    v = _as_tensor(v)
-    _check_pair(u, v)
-    positions = int(np.prod(u.data.shape[:-1]))
-    logs = ad.log(ad.clip(u, PROBABILITY_FLOOR, 1.0))
-    total = ad.sum_all(ad.mul(v, logs))
-    return ad.scale(total, -1.0 / positions)
+    u, v = _check_pair(u, v)
+    value, grad = _cross_entropy(u.data, v)
+    return _node(value, (u,), lambda g: accumulate_grad(u, grad(g)))
 
 
 def combined_loss(u, v) -> Tensor:
     """Sum of the soft overlap loss and the cross-entropy term."""
-    return ad.add(soft_dice_loss(u, v), cross_entropy_loss(u, v))
+    u, v = _check_pair(u, v)
+    dice, dice_grad = _soft_dice(u.data, v)
+    ce, ce_grad = _cross_entropy(u.data, v)
+
+    def bwd(g):
+        gu = dice_grad(g)
+        gu += ce_grad(g)
+        accumulate_grad(u, gu)
+
+    return _node(dice + ce, (u,), bwd)

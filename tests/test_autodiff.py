@@ -1,4 +1,6 @@
 """Value and gradient tests for the reverse-mode tensor core."""
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,22 +20,28 @@ def t(values, requires_grad=True):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad)
 
 
-def test_add_mul_values():
+def test_public_names_are_pinned():
+    # every op here has its own hand-written backward; adding one is a
+    # decision to make here, not a side effect of composing a new loss
+    public = {name for name, value in vars(ad).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)
+              and getattr(value, "__module__", None) == ad.__name__}
+    assert public == {"Tensor", "no_grad", "accumulate_grad", "topo_order", "backward",
+                      "mul", "sum_all", "fold_windows", "concat", "softmax"}
+
+
+def test_mul_and_sum_all_values():
     a, b = t([1.0, 2.0]), t([3.0, 4.0])
-    assert np.allclose(ad.add(a, b).data, [4.0, 6.0])
-    assert np.allclose(ad.mul(a, b).data, [3.0, 8.0])
-
-
-def test_scale_add_const_values():
-    x = t([1.0, -2.0])
-    assert np.allclose(ad.scale(x, 3.0).data, [3.0, -6.0])
-    assert np.allclose(ad.add_const(x, 1.5).data, [2.5, -0.5])
+    assert np.array_equal(ad.mul(a, b).data, [3.0, 8.0])
+    x = t(np.arange(24.0).reshape(2, 3, 4))
+    assert ad.sum_all(x).data.shape == ()
+    assert ad.sum_all(x).item() == x.data.sum()
 
 
 def test_diamond_graph_gradient():
-    # y = x*x + x visits x through two paths; grads must accumulate
+    # y = sum(x*x) + sum(x) visits x through three paths; grads must accumulate
     x = t([2.0, -3.0])
-    y = ad.sum_all(ad.add(ad.mul(x, x), x))
+    y = ad.sum_all(ad.concat([ad.mul(x, x), x], axis=0))
     backward(y)
     assert np.allclose(x.grad, 2.0 * x.data + 1.0)
 
@@ -41,7 +49,7 @@ def test_diamond_graph_gradient():
 def test_backward_rejects_nonscalar():
     x = t([1.0, 2.0])
     with pytest.raises(ValueError):
-        backward(ad.add(x, x))
+        backward(ad.mul(x, x))
 
 
 def test_tensor_outside_graph_keeps_none_grad():
@@ -54,7 +62,7 @@ def test_tensor_outside_graph_keeps_none_grad():
 def test_backward_frees_interior_grads_and_zeros_unreached_leaves():
     # "first" routes its gradient to x only, so p's branch never sees one
     x, p = t([1.0, 2.0]), t([3.0, 4.0])
-    hidden = ad.scale(p, 2.0)
+    hidden = ad.mul(p, p)
     first = ad._node(x.data.copy(), (x, hidden), lambda g: ad.accumulate_grad(x, g))
     y = ad.mul(first, first)
     loss = ad.sum_all(y)
@@ -77,25 +85,6 @@ def test_no_grad_tensor_stays_untouched():
     backward(ad.sum_all(ad.mul(x, c)))
     assert c.grad is None
     assert np.allclose(x.grad, c.data)
-
-
-def test_clip_values_and_gradient_mask():
-    x = t([-2.0, 0.5, 3.0])
-    y = ad.clip(x, 0.0, 1.0)
-    assert np.allclose(y.data, [0.0, 0.5, 1.0])
-    backward(ad.sum_all(y))
-    assert np.allclose(x.grad, [0.0, 1.0, 0.0])
-
-
-def test_sum_axes_and_mean():
-    x = t(np.arange(24.0).reshape(2, 3, 4))
-    assert np.allclose(ad.sum_axes(x, (0, 2)).data, x.data.sum(axis=(0, 2)))
-    # every axis but the last goes through _channel_sum, in numpy's order
-    y = Tensor(np.random.default_rng(3).normal(size=(2, 5, 7, 3)))
-    for axes in ((0, 1, 2), (-4, -3, -2)):
-        np.testing.assert_array_equal(ad.sum_axes(y, axes).data, y.data.sum(axis=axes))
-    assert np.isclose(ad.mean_all(x).data, x.data.mean())
-    assert np.isclose(ad.sum_all(x).data, x.data.sum())
 
 
 @st.composite
@@ -244,23 +233,9 @@ def test_softmax_rows_sum_to_one(x):
     assert np.allclose(y.sum(axis=-1), 1.0)
 
 
-@settings(deadline=None, max_examples=25)
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
-              elements=st.floats(-10, 10)),
-       arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
-              elements=st.floats(-10, 10)))
-def test_add_matches_numpy_when_shapes_agree(a, b):
-    if a.shape != b.shape:
-        return
-    assert np.array_equal(ad.add(Tensor(a), Tensor(b)).data, a + b)
-
-
 # name -> (shape of both inputs, function of the two inputs)
 SMOOTH_CASES = {
     "mul_sum": ((2, 3), lambda a, b: ad.sum_all(ad.mul(a, b))),
-    "div_mean": ((2, 3), lambda a, b: ad.mean_all(ad.div(a, ad.add_const(ad.mul(b, b), 1.0)))),
-    "log_blend": ((2, 3), lambda a, b: ad.sum_all(
-        ad.log(ad.add_const(ad.add(ad.mul(a, a), ad.mul(b, b)), 0.5)))),
     "concat": ((2, 3), lambda a, b: ad.sum_all(ad.mul(c := ad.concat([a, b], 1), c))),
     "softmax_pick": ((2, 3), lambda a, b: ad.sum_all(
         ad.mul(ad.softmax(a), ad.softmax(b)))),
@@ -284,18 +259,10 @@ def test_primitive_gradients(name):
     assert worst < 1e-6, f"{name}: {worst}"
 
 
-def test_sum_axes_gradient():
-    rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(2, 3, 4)))
-    report = finite_difference_check(
-        lambda v: ad.sum_all(ad.mul(s := ad.sum_axes(v, (1,)), s)), [x])
-    assert report.max_rel_error < 1e-7
-
-
 def test_topo_order_visits_parents_first():
     x = t([1.0])
     y = ad.mul(x, x)
-    z = ad.sum_all(ad.add(y, x))
+    z = ad.sum_all(ad.concat([y, x], axis=0))
     order = ad.topo_order(z)
     assert order.index(x) < order.index(y) < order.index(z)
 
@@ -307,8 +274,8 @@ def test_topo_order_visits_parents_first():
 def test_no_grad_results_keep_no_graph():
     w, x = t([1.0, -2.0]), t([3.0, 4.0], requires_grad=False)
     with ad.no_grad():
-        y = ad.sum_all(ad.clip(ad.mul(w, x), 0.0, 10.0))
-    assert np.isclose(y.item(), 3.0)
+        y = ad.sum_all(ad.mul(w, x))
+    assert y.item() == -5.0
     assert y.parents == () and y._backward is None and not y.requires_grad
 
 
@@ -317,12 +284,12 @@ def test_no_grad_restores_after_exception_and_nesting():
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("inside")
-    assert ad.scale(w, 2.0).parents == (w,)
+    assert ad.mul(w, w).parents == (w, w)
     with ad.no_grad():
         with ad.no_grad():
             pass
-        assert ad.scale(w, 2.0).parents == ()
-    assert ad.scale(w, 2.0).requires_grad
+        assert ad.mul(w, w).parents == ()
+    assert ad.mul(w, w).requires_grad
 
 
 def test_backward_works_after_no_grad():
