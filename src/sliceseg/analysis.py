@@ -25,12 +25,6 @@ def _as_volumes(label_volumes) -> list[np.ndarray]:
     return vols
 
 
-def connected_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Label 26-connected regions of a boolean mask."""
-    labeled, count = ndimage.label(mask, structure=_CONNECTIVITY)
-    return labeled, int(count)
-
-
 def structure_depth(label_volumes, class_id: int) -> float:
     """Mean axial extent, in slices, of the connected regions of a class.
 
@@ -44,7 +38,7 @@ def structure_depth(label_volumes, class_id: int) -> float:
         mask = v == class_id
         if not mask.any():
             continue
-        labeled, count = connected_regions(mask)
+        labeled, count = ndimage.label(mask, structure=_CONNECTIVITY)
         depths = [box[2].stop - box[2].start for box in ndimage.find_objects(labeled)]
         per_patient.append(sum(depths) / count)
     if not per_patient:

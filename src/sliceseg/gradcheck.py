@@ -62,7 +62,8 @@ def finite_difference_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
     ``STEP / STABILITY_RATIO``; if the two numeric estimates disagree by
     more than ``SUSPECT_REL_ERROR`` the coordinate sits on a kink and is
     skipped (a genuinely wrong analytic gradient is step-stable and still
-    reported).
+    reported). Raises ``ValueError`` when no coordinate is compared, so a
+    check cannot pass with every coordinate skipped.
     """
     inputs = list(inputs)
     for t in inputs:
@@ -111,6 +112,8 @@ def finite_difference_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
             checked += 1
             if err > worst.max_rel_error:
                 worst = GradCheckReport(err, 0, 0, ti, coord, a, numeric)
+    if checked == 0:
+        raise ValueError(f"gradient check compared no coordinate: {skipped} skipped as non-smooth")
     worst.coords_checked = checked
     worst.skipped_nonsmooth = skipped
     return worst

@@ -151,11 +151,13 @@ class EncoderDecoder:
     """U-shaped backbone over rank-2 or rank-3 feature maps.
 
     Three encoder levels at (f, 2f, 4f) filters with two conv blocks each,
-    an 8f bottleneck, and a mirrored decoder. With ``concat`` (U-Net) the
-    decoder upsamples by nearest neighbour and concatenates the encoder
-    feature map at each level; without it (SegNet) it reuses the pooling
-    argmax positions to unpool (no concatenation), with the channel
-    reduction applied before unpooling so the index map channels line up.
+    an 8f bottleneck, and a mirrored decoder. The encoder keeps one skip
+    list, one entry per level: with ``concat`` (U-Net) the feature map
+    before pooling, which the decoder concatenates after upsampling by
+    nearest neighbour; without it (SegNet) the pooling argmax codes, which
+    the decoder unpools to (no concatenation), with the channel reduction
+    applied before unpooling so the code channels line up. Each backbone
+    holds only its own kind of skip.
     """
 
     def __init__(self, rng, rank: int, in_channels: int, num_classes: int,
@@ -179,24 +181,20 @@ class EncoderDecoder:
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         t = x
-        feature_maps = []
-        index_maps = []
+        skips = []
         for a, b in self.enc:
             t = b.forward(a.forward(t, training), training)
-            feature_maps.append(t)
-            t, idx = ops.maxpool_with_indices(t)
-            index_maps.append(idx)
+            pooled, codes = ops.maxpool_with_indices(t)
+            skips.append(t if self.concat else codes)
+            t = pooled
         t = self.bott[1].forward(self.bott[0].forward(t, training), training)
-        if self.concat:
-            for (a, b), skip in zip(self.dec, reversed(feature_maps)):
-                t = ops.upsample_nearest(t)
-                t = ad.concat([t, skip], axis=-1)
-                t = b.forward(a.forward(t, training), training)
-        else:
-            for (a, b), idx in zip(self.dec, reversed(index_maps)):
+        for (a, b), skip in zip(self.dec, reversed(skips)):
+            if self.concat:
+                t = ad.concat([ops.upsample_nearest(t), skip], axis=-1)
                 t = a.forward(t, training)
-                t = ops.max_unpool(t, idx)
-                t = b.forward(t, training)
+            else:
+                t = ops.max_unpool(a.forward(t, training), skip)
+            t = b.forward(t, training)
         return ad.softmax(self.out.forward(t))
 
     def iter_layers(self, prefix: str):

@@ -44,10 +44,11 @@ axis of 2-8 elements would run numpy's inner loop once per window; here
 every per-window step is one elementwise op over a whole row. Pooling takes
 ``autodiff._first_max`` over the rows, the codes and values of argmax with
 its tie rules; the upsample backward sums the rows by ``autodiff._row_sum``
-in the order numpy's reduce adds a trailing axis, so the bits match a
-trailing-axis ``argmax`` and ``sum``. An adjoint gather/scatter pair indexes
-the full-resolution array at each window's origin plus its code's offset:
-the max-pool backward and unpooling scatter straight into a zeroed output
+in the order numpy's reduce adds a contiguous trailing axis, so the bits
+match a trailing-axis ``argmax`` and a ``sum`` over a C-contiguous
+window-last array. An adjoint gather/scatter pair indexes the
+full-resolution array at each window's origin plus its code's offset: the
+max-pool backward and unpooling scatter straight into a zeroed output
 there, the unpool backward gathers from there, and each is the other's
 adjoint.
 """
@@ -117,14 +118,6 @@ def _record(kind: str, macs: int, shape: tuple[int, ...]) -> None:
         records.append(OpCost(kind, int(macs), shape))
 
 
-def _spatial_rank(w: Tensor) -> int:
-    if w.data.ndim == 4:
-        return 2
-    if w.data.ndim == 5:
-        return 3
-    raise ValueError(f"kernel must have 4 or 5 axes, got shape {w.data.shape}")
-
-
 def _pad(x: np.ndarray, pads: tuple[int, ...]) -> np.ndarray:
     """``x`` (N, *spatial, C) zero padded by ``pads[i]`` on both sides of
     each spatial axis; ``x`` itself when every pad is zero."""
@@ -140,7 +133,9 @@ def _per_channel(x: np.ndarray, *steps: tuple[np.ufunc, np.ndarray],
                  inplace: bool = False) -> np.ndarray:
     """``x`` (..., C) after each ``(ufunc, v)`` step in turn, ``ufunc(x, v)``
     with the per-channel vector ``v`` broadcast over the channel axis: on a
-    new array, or on ``x`` itself when ``inplace``.
+    new array, or on ``x`` itself when ``inplace``, which needs a
+    C-contiguous ``x`` (a strided one raises ``ValueError``: its rows would
+    be a copy, so the writes would not reach ``x``).
 
     Broadcasting a (C,) vector runs numpy's inner loop once per position
     over C elements. Here ``x`` is viewed as rows of whole positions, every
@@ -148,13 +143,11 @@ def _per_channel(x: np.ndarray, *steps: tuple[np.ufunc, np.ndarray],
     row), and ``v`` is laid out along one such row, so the inner loop runs
     over the row. Each element still gets the same IEEE operation with the
     same operands, so the bits are those of plain broadcasting."""
+    if inplace and not x.flags.c_contiguous:
+        raise ValueError(f"in-place per-channel steps need a C-contiguous array, got "
+                         f"strides {x.strides} for shape {x.shape}")
     lead = min(2, x.ndim - 1)
     shape = (math.prod(x.shape[:lead]), math.prod(x.shape[lead:]))
-    if inplace and not x.flags.c_contiguous:
-        # the rows would be a copy, so the writes would not reach x
-        for ufunc, v in steps:
-            ufunc(x, v, out=x)
-        return x
     rows = np.ascontiguousarray(x).reshape(shape)
     out = rows if inplace else None
     for ufunc, v in steps:
@@ -249,7 +242,9 @@ def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,
     extent (zero padding by half the kernel) or shrinks by ``k - 1``.
     Defaults to padding every axis.
     """
-    rank = _spatial_rank(w)
+    if w.data.ndim not in (4, 5):
+        raise ValueError(f"kernel must have 4 or 5 axes, got shape {w.data.shape}")
+    rank = w.data.ndim - 2
     kernel = w.data.shape[:rank]
     cin, cout = w.data.shape[rank], w.data.shape[rank + 1]
     if x.data.ndim != rank + 2:
@@ -411,15 +406,9 @@ def upsample_nearest(x: Tensor) -> Tensor:
     for axis in range(1, 1 + rank):
         y = np.repeat(y, 2, axis=axis)
     _record(f"upsample{rank}d", 0, y.shape)
-    # The backward's window sums match numpy's .sum(axis=-1) over the
-    # window-last layout (N, *half, C, 2**rank). For a rank-3 gradient with
-    # W = D = 2 and C > 1 that layout is a view with window stride C, which
-    # numpy sums in sequence rather than pairwise.
-    in_sequence = rank == 3 and y.shape[2:4] == (2, 2) and y.shape[-1] > 1
 
     def bwd(g):
-        win = _windows(g)
-        accumulate_grad(x, sum(win) if in_sequence else _row_sum(win))
+        accumulate_grad(x, _row_sum(_windows(g)))
 
     return _node(y, (x,), bwd)
 

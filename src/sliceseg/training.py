@@ -173,10 +173,6 @@ def _tile_starts(depth: int, patch: int) -> list[int]:
     return starts
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    return np.eye(num_classes, dtype=np.float64)[labels]
-
-
 def _class_labels(probs: np.ndarray) -> np.ndarray:
     """``probs.argmax(axis=-1)``, taken over whole class slices."""
     return _first_max(np.moveaxis(probs, -1, 0))[0]
@@ -190,7 +186,7 @@ def _batches(n: int, batch_size: int, order=None):
 
 def _forward_batch(model, samples, num_classes: int, training: bool):
     x = np.stack([s.stack for s in samples])
-    y = _one_hot(np.stack([s.target for s in samples]).astype(np.int64), num_classes)
+    y = np.eye(num_classes)[np.stack([s.target for s in samples]).astype(np.int64)]
     probs = model.forward(Tensor(x), training=training)
     return probs, y
 

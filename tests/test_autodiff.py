@@ -259,6 +259,18 @@ def test_primitive_gradients(name):
     assert worst < 1e-6, f"{name}: {worst}"
 
 
+def test_gradient_check_comparing_no_coordinate_raises():
+    # 5e-6 above a ReLU kink the 1e-5 step crosses it and the 1e-6 step does
+    # not; their estimates (0.75 and 1.0) disagree, so the one coordinate is
+    # skipped as non-smooth
+    def relu(x):
+        return ad.sum_all(ad._node(np.maximum(x.data, 0.0), (x,),
+                                   lambda g: ad.accumulate_grad(x, g * (x.data > 0))))
+
+    with pytest.raises(ValueError, match="compared no coordinate: 1 skipped"):
+        finite_difference_check(relu, [t([5e-6])])
+
+
 def test_topo_order_visits_parents_first():
     x = t([1.0])
     y = ad.mul(x, x)
