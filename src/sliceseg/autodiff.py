@@ -112,9 +112,10 @@ def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every tensor below ``loss`` that requires it.
 
     The loss must be scalar. Closures run in reverse topological order,
-    only on nodes a gradient reached, and free that gradient once run;
-    leaves on branches that do not influence the loss end up with zero
-    gradients rather than None.
+    only on nodes a gradient reached, and free that gradient once run.
+    A leaf that no gradient reached keeps ``grad`` None, which its readers
+    (``training.adam_step``, ``gradcheck.finite_difference_check``) take
+    as zero.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -124,9 +125,6 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
-    for node in order:
-        if node.requires_grad and node._backward is None and node.grad is None:
-            node.grad = np.zeros_like(node.data)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +243,10 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     parts = list(parts)
     sizes = [p.data.shape[axis] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
 
     def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            accumulate_grad(p, g[tuple(idx)])
+        for p, gp in zip(parts, np.split(g, np.cumsum(sizes[:-1]), axis=axis)):
+            accumulate_grad(p, gp)
 
     return _node(out, parts, bwd)
 

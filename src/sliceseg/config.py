@@ -14,8 +14,6 @@ from .data import NORMALIZERS, fold_bounds
 from .models import BACKBONES, MODES, ModelSpec
 from .training import TrainConfig
 
-NORMALIZATIONS = tuple(NORMALIZERS)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message includes the field path."""
@@ -42,8 +40,8 @@ class SourceConfig:
     def __post_init__(self):
         if self.kind not in ("phantom", "volumes"):
             raise ConfigError(f"'source.kind' must be phantom or volumes, got {self.kind!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ConfigError(f"'source.normalization' must be one of {NORMALIZATIONS}")
+        if self.normalization not in NORMALIZERS:
+            raise ConfigError(f"'source.normalization' must be one of {tuple(NORMALIZERS)}")
         if self.kind == "phantom" and self.num_volumes < 1:
             raise ConfigError("'source.num_volumes' must be positive")
         if self.kind == "volumes" and not self.directory:

@@ -171,7 +171,6 @@ def generate_phantom(recipe: PhantomRecipe, seed: int,
 
     for class_id, srec in enumerate(recipe.structures, start=1):
         for _ in range(srec.count):
-            placed = False
             for _attempt in range(_MAX_PLACEMENT_TRIES):
                 ry = rng.uniform(*srec.radius_range)
                 rx = rng.uniform(*srec.radius_range)
@@ -215,9 +214,8 @@ def generate_phantom(recipe: PhantomRecipe, seed: int,
                     class_id=class_id, kind=srec.kind, slices=zs,
                     voxel_count=int(coords.shape[0]),
                     slice_counts=slice_counts, slice_centroids=slice_centroids))
-                placed = True
                 break
-            if not placed:
+            else:
                 raise ValueError(
                     f"could not place a class-{class_id} {srec.kind} in volume {recipe.shape}; "
                     "reduce structure sizes or counts")

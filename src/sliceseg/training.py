@@ -143,8 +143,8 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     records: list[EpochRecord]
-    stop_reason: str = ""
-    best_val_loss: float = float("nan")
+    stop_reason: str
+    best_val_loss: float
 
 
 def build_samples(volumes, spec) -> list[SliceSample]:
@@ -184,9 +184,9 @@ def _batches(n: int, batch_size: int, order=None):
         yield idx[lo:lo + batch_size]
 
 
-def _forward_batch(model, samples, num_classes: int, training: bool):
+def _forward_batch(model, samples, training: bool):
     x = np.stack([s.stack for s in samples])
-    y = np.eye(num_classes)[np.stack([s.target for s in samples]).astype(np.int64)]
+    y = np.eye(model.spec.num_classes)[np.stack([s.target for s in samples]).astype(np.int64)]
     probs = model.forward(Tensor(x), training=training)
     return probs, y
 
@@ -199,7 +199,7 @@ def train_step(model: SegmentationModel, batch, state: AdamState, lr: float,
     params = model.parameters()
     for p in params.values():
         p.grad = None
-    probs, y = _forward_batch(model, batch, model.spec.num_classes, training=True)
+    probs, y = _forward_batch(model, batch, training=True)
     loss = config.loss_fn(probs, y)
     backward(loss)
     adam_step(params, state, lr, config.l2_coefficient, model.decay_parameters())
@@ -221,7 +221,7 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
                                config.patience_epochs, config.early_stop_epochs,
                                config.min_improvement)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    history = TrainHistory(records=[])
+    records: list[EpochRecord] = []
     best_val = np.inf
     best_state = None
     stop_reason = "max_epochs"
@@ -237,7 +237,7 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
             n_batches += 1
         val_loss, val_dsc = validate(model, val_samples, config)
         train_loss = loss_sum / n_batches
-        history.records.append(EpochRecord(epoch, train_loss, val_loss, val_dsc, schedule.lr))
+        records.append(EpochRecord(epoch, train_loss, val_loss, val_dsc, schedule.lr))
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             stop_reason = "non_finite"
             break
@@ -251,9 +251,7 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
 
     if best_state is not None:
         model.load_state(best_state)
-    history.stop_reason = stop_reason
-    history.best_val_loss = best_val
-    return history
+    return TrainHistory(records, stop_reason, best_val)
 
 
 def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[float, float]:
@@ -269,7 +267,7 @@ def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[fl
     with no_grad():
         for batch_idx in _batches(len(samples), config.batch_size):
             batch = [samples[i] for i in batch_idx]
-            probs, y = _forward_batch(model, batch, num_classes, training=False)
+            probs, y = _forward_batch(model, batch, training=False)
             loss_sum += config.loss_fn(probs, y).item()
             n_batches += 1
             pred = _class_labels(probs.data)

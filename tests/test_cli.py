@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import sliceseg
 from sliceseg import analysis, cli, volio
-from sliceseg.config import (NORMALIZATIONS, ConfigError, ExperimentConfig,
-                             FoldConfig, GridConfig, SourceConfig,
-                             config_from_dict, config_to_dict, expand_grid,
-                             load_config, save_config)
-from sliceseg.data import AugmentParams
+from sliceseg.config import (ConfigError, ExperimentConfig, FoldConfig,
+                             GridConfig, SourceConfig, config_from_dict,
+                             config_to_dict, expand_grid, load_config,
+                             save_config)
+from sliceseg.data import NORMALIZERS, AugmentParams
 from sliceseg.models import BACKBONES, MODES
 from sliceseg.phantom import dataset_presets, generate_cohort
 from sliceseg.training import TrainConfig
@@ -207,7 +207,7 @@ def _configs(draw) -> ExperimentConfig:
         source=draw(st.builds(SourceConfig, kind=st.just(kind), preset=st.text(),
                               num_volumes=st.integers(fewest, 10**6),
                               seed=st.integers(min_value=0), directory=st.text(min_size=1),
-                              normalization=st.sampled_from(NORMALIZATIONS))),
+                              normalization=st.sampled_from(tuple(NORMALIZERS)))),
         grid=draw(st.builds(
             GridConfig,
             modes=st.lists(st.sampled_from(MODES), min_size=1, unique=True).map(tuple),
