@@ -3,7 +3,8 @@
 Every value flowing through a model is a :class:`Tensor`. Applying an
 operation builds a node that remembers its parent tensors and a closure
 that routes the output gradient back to them, so a full forward pass
-leaves behind the computation graph needed by :func:`backward`. Inside
+leaves behind the computation graph needed by :func:`backward`, which
+releases it as it runs. Inside
 :func:`no_grad` ops return bare tensors instead, so inference keeps no
 graph alive.
 """
@@ -108,6 +109,12 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g: np.ndarray) -> None:
+    raise ValueError("backward reached a released node: a graph backpropagates once, "
+                     "and the first backward through it dropped this node's parents "
+                     "and saved arrays")
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every tensor below ``loss`` that requires it.
 
@@ -116,15 +123,29 @@ def backward(loss: Tensor) -> None:
     A leaf that no gradient reached keeps ``grad`` None, which its readers
     (``training.adam_step``, ``gradcheck.finite_difference_check``) take
     as zero.
+
+    Backward also releases the graph as it moves toward the inputs: each
+    interior node, once done, drops its parents and its closure, and with
+    them the arrays the closure saved (conv inputs, batch-norm inputs and
+    masks, the softmax output). So the graph keeps nothing alive once
+    backward returns, even while the caller holds ``loss``; ``loss.data``
+    and the leaves are untouched. A graph
+    backpropagates once: a second ``backward(loss)``, or one through a new
+    graph built on a released node, raises ``ValueError`` where a
+    gradient reaches a released node, instead of giving zero gradients.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     order = topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+    while order:
+        node = order.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+                node.grad = None
+            node._backward = _released
+        node.parents = ()
 
 
 # ---------------------------------------------------------------------------

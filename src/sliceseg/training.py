@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, _first_max, backward, no_grad
-from .data import AugmentParams, SliceSample, augment, depth_window, extract_stack
+from .data import AugmentParams, SliceSample, augment, depth_window
 from .losses import combined_loss, dice_per_class, soft_dice_loss
 from .models import SegmentationModel
 from .phantom import LabeledVolume
@@ -150,7 +150,14 @@ class TrainHistory:
 def build_samples(volumes, spec) -> list[SliceSample]:
     """Expand volumes into model inputs: one sample per slice for the
     single-slice modes, one per non-overlapping depth tile (final tile
-    right-aligned) for the volumetric mode."""
+    right-aligned) for the volumetric mode.
+
+    In the slice modes each volume of depth D is edge-padded once by
+    r = d // 2 slices on either side, into one read-only copy of
+    D + d - 1 slices, and the stack of slice z is the view of its slices
+    z..z+d-1: the values of ``extract_stack(vol, z, d)``, at D + d - 1
+    slices per volume instead of D * d. Volumetric tiles are views of the
+    image itself."""
     samples: list[SliceSample] = []
     for vol in volumes:
         depth = vol.labels.shape[2]
@@ -159,8 +166,12 @@ def build_samples(volumes, spec) -> list[SliceSample]:
                 samples.append(SliceSample(stack=vol.image[:, :, z0:z0 + spec.d, :],
                                            target=vol.labels[:, :, z0:z0 + spec.d]))
         else:
+            r = spec.d // 2
+            padded = depth_window(vol.image, -r, depth + r)
+            padded.flags.writeable = False
             for z in range(depth):
-                samples.append(extract_stack(vol, z, spec.d))
+                samples.append(SliceSample(stack=padded[:, :, z:z + spec.d],
+                                           target=vol.labels[:, :, z]))
     return samples
 
 
@@ -195,12 +206,11 @@ def train_step(model: SegmentationModel, batch, state: AdamState, lr: float,
                config: TrainConfig) -> float:
     """One optimiser step on a batch of samples: forward, ``config``'s
     loss, backward and Adam with its L2 penalty. Returns the loss; the
-    step's graph dies on return."""
+    step's graph is released by backward, before Adam runs."""
     params = model.parameters()
     for p in params.values():
         p.grad = None
-    probs, y = _forward_batch(model, batch, training=True)
-    loss = config.loss_fn(probs, y)
+    loss = config.loss_fn(*_forward_batch(model, batch, training=True))
     backward(loss)
     adam_step(params, state, lr, config.l2_coefficient, model.decay_parameters())
     return loss.item()

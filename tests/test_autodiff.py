@@ -1,5 +1,6 @@
 """Value and gradient tests for the reverse-mode tensor core."""
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sliceseg.autodiff import Tensor, backward
 from sliceseg.gradcheck import finite_difference_check
 from sliceseg.losses import combined_loss
 from sliceseg.models import ModelSpec, assemble_model
+from sliceseg.ops import batch_norm, conv_forward
 from sliceseg.phantom import dataset_presets, generate_cohort
 from sliceseg.training import TrainConfig, build_samples, validate
 
@@ -67,9 +69,24 @@ def test_backward_frees_interior_grads_and_leaves_unreached_leaves_none():
     y = ad.mul(first, first)
     loss = ad.sum_all(y)
     backward(loss)
-    assert [n.grad for n in (hidden, first, y, loss)] == [None] * 4
+    interior = (hidden, first, y, loss)
+    assert [n.grad for n in interior] == [None] * 4
     assert p.grad is None
     assert np.allclose(x.grad, 2.0 * x.data)
+    # every interior node is released, whether a gradient reached it or not
+    assert all(n.parents == () and n._backward is ad._released for n in interior)
+    assert loss.item() == 5.0 and x.data.tolist() == [1.0, 2.0]
+
+    grad = x.grad.copy()
+    with pytest.raises(ValueError, match="backpropagates once"):
+        backward(loss)
+    with pytest.raises(ValueError, match="backpropagates once"):
+        backward(ad.sum_all(ad.mul(y, y)))
+    # unreached before, so a new graph on it must not read as a zero gradient
+    with pytest.raises(ValueError, match="backpropagates once"):
+        backward(ad.sum_all(hidden))
+    np.testing.assert_array_equal(x.grad, grad)
+    assert p.grad is None
 
 
 def test_repeated_backward_accumulates():
@@ -85,6 +102,38 @@ def test_no_grad_tensor_stays_untouched():
     backward(ad.sum_all(ad.mul(x, c)))
     assert c.grad is None
     assert np.allclose(x.grad, c.data)
+
+
+def _conv_bn_softmax_loss(freed_at_input: list):
+    """A scalar over conv -> batch norm -> softmax, and weak references to
+    the conv and batch-norm outputs; no other reference to the graph. The
+    node below the conv notes in ``freed_at_input`` which of the two are
+    gone when backward reaches it."""
+    rng = np.random.default_rng(3)
+    refs = []
+    x = t(rng.normal(size=(2, 6, 6, 2)))
+    probe = ad._node(x.data, (x,), lambda g: freed_at_input.extend(r() is None for r in refs))
+    w = t(rng.normal(size=(3, 3, 2, 4)))
+    gamma, beta = t(np.ones(4)), t(np.zeros(4))
+    conv = conv_forward(probe, w, None)
+    act = batch_norm(conv, gamma, beta, np.zeros(4), np.ones(4), training=True)
+    probs = ad.softmax(act)
+    loss = ad.sum_all(ad.mul(probs, Tensor(rng.normal(size=probs.data.shape))))
+    refs += [weakref.ref(conv.data), weakref.ref(act.data)]
+    return loss, (w, gamma, beta), refs
+
+
+def test_backward_releases_the_graph_while_loss_is_held():
+    freed_at_input = []
+    loss, leaves, activations = _conv_bn_softmax_loss(freed_at_input)
+    assert all(ref() is not None for ref in activations)
+    value = loss.item()
+    backward(loss)
+    # freed on the way down, not only when backward returns
+    assert freed_at_input == [True, True]
+    assert [ref() for ref in activations] == [None, None]
+    assert loss.parents == () and loss.item() == value
+    assert all(leaf.grad is not None and leaf.grad.shape == leaf.data.shape for leaf in leaves)
 
 
 @st.composite

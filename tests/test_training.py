@@ -155,6 +155,10 @@ def test_build_samples_slices_for_2d_and_tiles_for_3d():
     assert len(tiles) == 2
     assert tiles[0].stack.shape == (24, 24, 8, 1)
     assert tiles[0].target.shape == (24, 24, 8)
+    for tile, vol in zip(tiles, vols, strict=True):
+        assert np.shares_memory(tile.stack, vol.image) and tile.stack.flags.writeable
+        np.testing.assert_array_equal(tile.stack, vol.image)
+        np.testing.assert_array_equal(tile.target, vol.labels)
 
 
 def test_build_samples_pseudo3d_stacks():
@@ -165,6 +169,26 @@ def test_build_samples_pseudo3d_stacks():
     assert len(samples) == 8
     assert samples[0].stack.shape == (24, 24, 5, 1)
     assert samples[0].target.shape == (24, 24)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 13, 15])
+def test_slice_samples_are_read_only_views_of_one_padded_copy(d):
+    vol = tiny_cohort(1, shape=(24, 24, 16))[0]
+    spec = ModelSpec(mode="end2end_2d" if d == 1 else "channel_based", backbone="unet",
+                     d=d, in_channels=1, num_classes=3, base_filters=4)
+    samples = build_samples([vol], spec)
+    assert len(samples) == 16
+    for z, sample in enumerate(samples):
+        want = extract_stack(vol, z, d)  # edge windows replicate the end slices
+        assert sample.stack.shape == want.stack.shape
+        assert sample.stack.dtype == want.stack.dtype
+        np.testing.assert_array_equal(sample.stack, want.stack)
+        np.testing.assert_array_equal(sample.target, want.target)
+    base = samples[0].stack.base
+    assert all(sample.stack.base is base for sample in samples)
+    assert base.size == 24 * 24 * (16 + d - 1)
+    with pytest.raises(ValueError, match="read-only"):
+        samples[-1].stack[0, 0, 0, 0] = 1.0
 
 
 def test_build_samples_rejects_shallow_volume_for_3d():
