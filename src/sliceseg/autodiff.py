@@ -22,7 +22,9 @@ class Tensor:
 
     Leaf tensors hold data (inputs, parameters). Interior tensors are
     produced by the op functions in this package and keep references to
-    their parents for the backward pass.
+    their parents for the backward pass. ``grad`` may share memory with
+    other gradients and with arrays a backward closure made, and it is
+    read-only: to change a gradient, replace ``grad``; never write into it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "_backward")
@@ -77,12 +79,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad`` if ``t`` requires gradients: a first gradient
+    is the array handed over, not a copy (``asarray`` copies no float64
+    array and makes numpy's 0-d scalar results arrays), a later sum is a new
+    array, and the stored gradient is read-only, so others may share it."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    t.grad = np.asarray(g if t.grad is None else t.grad + g, dtype=np.float64)
+    t.grad.flags.writeable = False
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -118,11 +122,12 @@ def _released(g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every tensor below ``loss`` that requires it.
 
-    The loss must be scalar. Closures run in reverse topological order,
-    only on nodes a gradient reached, and free that gradient once run.
-    A leaf that no gradient reached keeps ``grad`` None, which its readers
-    (``training.adam_step``, ``gradcheck.finite_difference_check``) take
-    as zero.
+    The loss must be scalar. Its seed gradient of ones is read-only, like
+    every stored gradient, so no closure can write into its input. Closures
+    run in reverse topological order, only on nodes a gradient reached, and
+    free that gradient once run. A leaf that no gradient reached keeps
+    ``grad`` None, which its readers (``training.adam_step``,
+    ``gradcheck.finite_difference_check``) take as zero.
 
     Backward also releases the graph as it moves toward the inputs: each
     interior node, once done, drops its parents and its closure, and with
@@ -138,6 +143,7 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     order = topo_order(loss)
     loss.grad = np.ones_like(loss.data)
+    loss.grad.flags.writeable = False
     while order:
         node = order.pop()
         if node._backward is not None:

@@ -259,7 +259,7 @@ class SegmentationModel:
         reduces each window to one slice by depth convolution.
         """
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
+            x = Tensor(x)
         spec = self.spec
         if x.data.ndim != 5 or x.data.shape[4] != spec.in_channels:
             raise ValueError(f"{spec.mode} expects (N, H, W, D, {spec.in_channels}) input, "

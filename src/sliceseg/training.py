@@ -189,12 +189,6 @@ def _class_labels(probs: np.ndarray) -> np.ndarray:
     return _first_max(np.moveaxis(probs, -1, 0))[0]
 
 
-def _batches(n: int, batch_size: int, order=None):
-    idx = np.arange(n) if order is None else order
-    for lo in range(0, n, batch_size):
-        yield idx[lo:lo + batch_size]
-
-
 def _forward_batch(model, samples, training: bool):
     x = np.stack([s.stack for s in samples])
     y = np.eye(model.spec.num_classes)[np.stack([s.target for s in samples]).astype(np.int64)]
@@ -241,8 +235,9 @@ def run_training(model: SegmentationModel, train_samples, val_samples,
         aug_rng = np.random.default_rng([config.seed, 2, epoch])
         loss_sum = 0.0
         n_batches = 0
-        for batch_idx in _batches(len(train_samples), config.batch_size, order):
-            batch = [augment(train_samples[i], config.augment, aug_rng) for i in batch_idx]
+        for lo in range(0, len(order), config.batch_size):
+            batch = [augment(train_samples[i], config.augment, aug_rng)
+                     for i in order[lo:lo + config.batch_size]]
             loss_sum += train_step(model, batch, state, schedule.lr, config)
             n_batches += 1
         val_loss, val_dsc = validate(model, val_samples, config)
@@ -273,10 +268,9 @@ def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[fl
     loss_sum = 0.0
     dsc_sum = 0.0
     n_batches = 0
-    n_samples = 0
     with no_grad():
-        for batch_idx in _batches(len(samples), config.batch_size):
-            batch = [samples[i] for i in batch_idx]
+        for lo in range(0, len(samples), config.batch_size):
+            batch = samples[lo:lo + config.batch_size]
             probs, y = _forward_batch(model, batch, training=False)
             loss_sum += config.loss_fn(probs, y).item()
             n_batches += 1
@@ -284,8 +278,7 @@ def validate(model: SegmentationModel, samples, config: TrainConfig) -> tuple[fl
             for k, s in enumerate(batch):
                 per_class = dice_per_class(pred[k], np.asarray(s.target), num_classes)
                 dsc_sum += float(np.mean(per_class[1:]))
-                n_samples += 1
-    return loss_sum / n_batches, dsc_sum / n_samples
+    return loss_sum / n_batches, dsc_sum / len(samples)
 
 
 def predict_volume(model: SegmentationModel, volume: LabeledVolume,

@@ -89,6 +89,47 @@ def test_backward_frees_interior_grads_and_leaves_unreached_leaves_none():
     assert p.grad is None
 
 
+def test_first_gradient_is_the_array_handed_over_and_read_only():
+    x = t([1.0, 2.0])
+    seen = {}
+
+    def bwd(g):
+        seen["seed"], seen["handed"] = g, np.full(2, 3.0) * g
+        ad.accumulate_grad(x, seen["handed"])
+
+    backward(ad._node(np.asarray(3.0 * x.data.sum()), (x,), bwd))
+    assert not seen["seed"].flags.writeable
+    assert x.grad is seen["handed"] and not x.grad.flags.writeable
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def test_mul_of_0d_tensors_leaves_0d_array_gradients():
+    a, b = t(2.0), t(5.0)
+    backward(ad.mul(a, b))
+    for leaf, want in ((a, 5.0), (b, 2.0)):
+        assert type(leaf.grad) is np.ndarray and leaf.grad.shape == () and leaf.grad == want
+        assert not leaf.grad.flags.writeable
+
+
+def test_a_gradient_handed_to_two_parents_keeps_its_values():
+    # one closure hands a and b the same array; c's closure runs later and
+    # adds to b, which must leave a's gradient as it was handed
+    a, b = t([1.0, 2.0]), t([3.0, 4.0])
+    c = ad.mul(b, t([5.0, 6.0], requires_grad=False))
+    both = []
+
+    def bwd(g):
+        both.append(g * 2.0)
+        ad.accumulate_grad(a, both[0])
+        ad.accumulate_grad(b, both[0])
+        ad.accumulate_grad(c, g)
+
+    backward(ad.sum_all(ad._node(2.0 * (a.data + b.data) + c.data, (a, b, c), bwd)))
+    assert a.grad is both[0]
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [7.0, 8.0])
+
+
 def test_repeated_backward_accumulates():
     x = t([1.0, 2.0])
     backward(ad.sum_all(x))
@@ -134,6 +175,10 @@ def test_backward_releases_the_graph_while_loss_is_held():
     assert [ref() for ref in activations] == [None, None]
     assert loss.parents == () and loss.item() == value
     assert all(leaf.grad is not None and leaf.grad.shape == leaf.data.shape for leaf in leaves)
+    for leaf in leaves:
+        assert not leaf.grad.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            leaf.grad += 1
 
 
 @st.composite

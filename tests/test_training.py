@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sliceseg import training
-from sliceseg.autodiff import Tensor
+from sliceseg.autodiff import Tensor, no_grad
 from sliceseg.data import extract_stack
+from sliceseg.losses import dice_per_class
 from sliceseg.models import ModelSpec, assemble_model
 from sliceseg.phantom import PhantomRecipe, StructureRecipe, generate_cohort
 from sliceseg.training import (AdamState, PlateauSchedule, TrainConfig, adam_step,
@@ -249,6 +250,38 @@ def test_run_training_reproducible():
 def _live_graph_nodes() -> int:
     gc.collect()
     return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o.parents)
+
+
+def test_ragged_last_batch_counts_once_per_batch_and_per_sample(monkeypatch):
+    # 5 samples at batch size 2: batches of 2, 2 and 1
+    vols = tiny_cohort(3, seed=7)
+    spec = ModelSpec(mode="proposed", backbone="unet", d=3, in_channels=1,
+                     num_classes=3, base_filters=4)
+    model = assemble_model(spec, seed=0)
+    samples = build_samples(vols[2:], spec)[:5]
+    config = quick_config(batch_size=2, max_epochs=1)
+    losses, dscs = [], []
+    with no_grad():
+        for batch in (samples[0:2], samples[2:4], samples[4:5]):
+            probs = model.forward(Tensor(np.stack([s.stack for s in batch])))
+            targets = np.stack([s.target for s in batch])
+            losses.append(config.loss_fn(probs, np.eye(3)[targets.astype(np.int64)]).item())
+            for pred, target in zip(np.argmax(probs.data, axis=-1), targets):
+                dscs.append(float(np.mean(dice_per_class(pred, target, 3)[1:])))
+    assert len(dscs) == 5
+    assert validate(model, samples, config) == ((losses[0] + losses[1] + losses[2]) / 3,
+                                                sum(dscs) / 5)
+
+    steps = []
+
+    def known_step(model, batch, state, lr, config):
+        steps.append(len(batch))
+        return (1.0, 2.0, 4.0)[len(steps) - 1]
+
+    monkeypatch.setattr(training, "train_step", known_step)
+    history = run_training(model, samples, samples, config)
+    assert steps == [2, 2, 1]
+    assert history.records[0].train_loss == 7.0 / 3
 
 
 def test_no_graph_outlives_its_training_step(monkeypatch):
