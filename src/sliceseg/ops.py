@@ -22,20 +22,23 @@ the budget constants): near ``_ROW_TARGET``, never above
 ``_COLUMN_BUDGET``, and, when a product splits, every block above BLAS's
 small-matrix bound ``_SMALL_GEMM_MACS``. Above that bound every output row
 is the same dot product as in one whole product, so the bits do not
-change. The weight gradient sums over every output row, so splitting the
-rows would change its summation order; it partitions the column axes
-(*kernel, channel) in blocks of at most ``_COLUMN_BUDGET`` instead, and
-each block gives its own rows of the weight gradient. Padding is a zeroed
-array with the input written inside. The bias gradient, like batch norm's
-statistics and gradients, is a sum over positions by
-``autodiff._channel_sum``: einsum in numpy's reduce order, so the same
-bits at a fraction of the reduce's per-position cost. The per-channel
-arithmetic, batch norm's centring, scales and shift in both passes and the
-conv bias add, runs on long rows by ``_per_channel``: whole positions
-viewed as rows with the channel vector laid out along one row, so numpy's
-inner loop runs over hundreds of elements rather than C per position. Each
-element gets the same IEEE operation on the same operands as under
-broadcasting, so the bits do not change either.
+change. The weight gradient sums over every output row, so it splits the
+rows only where one whole product's BLAS driver does: in the chunks that
+driver sums in turn (``_k_chunks``; the rule is at the budget constants).
+Each chunk's rows are gathered at full kernel width, or in column blocks
+within ``_COLUMN_BUDGET`` when wider, and the chunk products are added in
+the driver's order, so the sum has the bits of one whole product at one
+thread, whatever the thread count. Padding is a zeroed array with the
+input written inside. The bias gradient, like batch norm's statistics and
+gradients, is a sum over positions by ``autodiff._channel_sum``: einsum in
+numpy's reduce order, so the same bits at a fraction of the reduce's
+per-position cost. The per-channel arithmetic, batch norm's centring,
+scales and shift in both passes and the conv bias add, runs on long rows
+by ``_per_channel``: whole positions viewed as rows with the channel
+vector laid out along one row, so numpy's inner loop runs over hundreds of
+elements rather than C per position. Each element gets the same IEEE
+operation on the same operands as under broadcasting, so the bits do not
+change either.
 
 Pooling and the upsample backward share one window-first layout of the
 2 x ... x 2 windows, (2**rank, N, *spatial/2, C), C-contiguous: row k holds
@@ -80,14 +83,27 @@ from .autodiff import Tensor, _channel_sum, _first_max, _node, _row_sum, accumul
 #   spans keep each block above a third of the budget, so the budget is at
 #   least three times the bound's bytes.
 # - _COLUMN_BUDGET caps every block, so products of N <= 5 columns (gemv at
-#   N = 1 among them) keep the cap's partition. Weight-gradient column
-#   blocks have no small-matrix floor, so a narrow one splits below the
-#   bound: at f=4, kernel columns (3,3,16) over 12,800 rows give 819,200-MAC
-#   blocks, which differ from one whole product by up to 1.3e-12. Narrower
-#   blocks were slower, since each repacks the whole output gradient.
+#   N = 1 among them) keep the cap's partition.
+# - Above _SMALL_GEMM_MACS and at N >= 2 (N = 1 runs in gemv, which sums
+#   otherwise), OpenBLAS's one-thread driver sums the inner dimension K
+#   in chunks of _K_CHUNK while at least twice that remains; a remainder r
+#   with 384 < r < 768 splits at r // 2 rounded up to a multiple of 16
+#   (400: 208/200, 432: 224/216, 648: 336/324), and any other remainder is
+#   one chunk. Chunk products added in that order equal one whole product
+#   bit for bit. The two-thread driver splits such a remainder at r / 2
+#   instead (400: 200/200), so a whole product whose K is not a multiple of
+#   32 changes bits with the thread count, but every chunk is at most 384
+#   wide, which neither driver splits, so the chunk sum does not. The
+#   weight gradient's K is its output rows: summed in these chunks, each
+#   product is as wide as the whole kernel's columns rather than one column
+#   block per kernel offset, each of which repacked the whole output
+#   gradient. At one thread the weight gradient of (8,32,32,3,16)->16
+#   took 41.1 ms in 27 column blocks and 20.3 ms in 64 row chunks (medians
+#   of 9).
 _COLUMN_BUDGET = 4 * 2**20
 _ROW_TARGET = 2**20
 _SMALL_GEMM_MACS = 10**6
+_K_CHUNK = 384
 
 # Optional cost trace, the one record of what a forward pass did: while
 # trace lists are open, each structured op appends its kind, MACs and
@@ -221,19 +237,79 @@ def _im2col_matmul(win: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     return y
 
 
+def _k_chunks(k: int) -> tuple[int, ...]:
+    """The bounds of the chunks OpenBLAS's one-thread driver takes over the
+    inner dimension ``k`` of one whole product (see the budget constants)."""
+    bounds = [0]
+    while k - bounds[-1] >= 2 * _K_CHUNK:
+        bounds.append(bounds[-1] + _K_CHUNK)
+    r = k - bounds[-1]
+    if r > _K_CHUNK:
+        bounds.append(bounds[-1] + -(-(r // 2) // 16) * 16)
+    return (*bounds, k)
+
+
+def _weight_blocks(rows: int, extents: tuple[int, ...], cols: int,
+                   itemsize: int) -> list[tuple[int, int, tuple]]:
+    """The blocks of the weight gradient of a (rows, prod(extents)) column
+    matrix and a (rows, cols) output gradient, in order, as (lo, hi, index):
+    output rows [lo, hi), one of the chunks one whole product's BLAS driver
+    sums in turn, by the ``index`` block of the (*kernel, C) columns, all of
+    them unless that exceeds ``_COLUMN_BUDGET``. A product of one column
+    (gemv) or of at most ``_SMALL_GEMM_MACS`` is never chunked in BLAS, so
+    its rows stay one chunk."""
+    bounds = (0, rows)
+    if cols >= 2 and rows * math.prod(extents) * cols > _SMALL_GEMM_MACS:
+        bounds = _k_chunks(rows)
+    return [(lo, hi, index) for lo, hi in zip(bounds[:-1], bounds[1:])
+            for index in _plan(extents, (hi - lo) * itemsize, _COLUMN_BUDGET)]
+
+
+@functools.cache
+def _row_runs(extents: tuple[int, ...], lo: int, hi: int) -> tuple[tuple, ...]:
+    """Index tuples over every axis of an array of ``extents`` that tile its
+    flat positions [lo, hi) in order, as few as row-major runs allow: each
+    fixes one index on each axis before one axis, takes a span of that one
+    and the whole of every axis after it."""
+    inner = [math.prod(extents[a + 1:]) for a in range(len(extents))]
+    runs = []
+    while lo < hi:
+        a = next(a for a, s in enumerate(inner) if lo % s == 0 and hi - lo >= s)
+        fixed, j = divmod(lo // inner[a], extents[a])
+        count = min((hi - lo) // inner[a], extents[a] - j)
+        runs.append((*(int(i) for i in np.unravel_index(fixed, extents[:a])),
+                     slice(j, j + count), *(slice(None),) * (len(extents) - a - 1)))
+        lo += count * inner[a]
+    return tuple(runs)
+
+
 def _weight_grad(win: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     """The transposed column matrix of the window view ``win`` times
-    ``gmat``, as a (*kernel, C, cols) array, built in blocks of columns: a
-    block of the (*kernel, c) axes gives the same rows of the product,
-    summed over the output rows in the same order, and its product goes
-    straight into those rows."""
-    rows, head, cols = gmat.shape[0], win.ndim // 2, gmat.shape[1]
-    extents = win.shape[head:]
-    dw = np.empty((*extents, cols))
-    for index in _plan(extents, rows * win.itemsize, _COLUMN_BUDGET):
-        block = win[(slice(None),) * head + index].reshape(rows, -1)
-        np.matmul(block.T, gmat, out=dw[index].reshape(-1, cols, copy=False))
-    return dw
+    ``gmat``, as a (*kernel, C, cols) array, with the bits of one whole
+    product at one BLAS thread. Each block of :func:`_weight_blocks` gathers
+    its rows of the column matrix into one buffer that every block reuses,
+    and ``gmat[lo:hi].T`` times it gives its columns of the transposed
+    gradient: stored by the first chunk, added to by each later one in
+    order, as the driver adds its chunks."""
+    (rows, cols), head = gmat.shape, win.ndim // 2
+    lead, extents = win.shape[:head], win.shape[head:]
+    dwt = np.empty((cols, *extents))
+    blocks = _weight_blocks(rows, extents, cols, win.itemsize)
+    buf = np.empty(max((hi - lo) * dwt[(0, *index)].size for lo, hi, index in blocks))
+    for lo, hi, index in blocks:
+        out = dwt[(slice(None), *index)].reshape(cols, -1, copy=False)
+        block = buf[:(hi - lo) * out.shape[1]].reshape(hi - lo, -1)
+        start = 0
+        for run in _row_runs(lead, lo, hi):
+            piece = win[(*run, *index)]
+            stop = start + piece.size // out.shape[1]
+            block[start:stop].reshape(piece.shape)[...] = piece
+            start = stop
+        if lo:
+            out += gmat[lo:hi].T @ block
+        else:
+            np.matmul(gmat[:hi].T, block, out=out)
+    return np.ascontiguousarray(np.moveaxis(dwt, 0, -1))
 
 
 def conv_forward(x: Tensor, w: Tensor, b: Tensor | None,

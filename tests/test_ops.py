@@ -1,4 +1,5 @@
 """Neural network building blocks: values, shapes, and gradients."""
+import itertools
 import math
 import os
 import subprocess
@@ -252,13 +253,16 @@ def _monolithic_conv(x, w, b, g, padded_axes):
 # conv shapes of the workloads whose columns exceed the budget: the 3D and
 # transition convs of train_step and predict_volume, a 2D decoder conv at
 # f=16 and one at grid_run's f=4; the forward and the input gradient take
-# blocks of whole samples or of rows of one sample, and the two 3D convs
-# with 16 and 48 input channels take channel-span weight-gradient blocks;
-# the (8, 32, 32, 7, 1) and (8, 32, 32, 16) -> 1 convs add their bias over
-# rows of one and of four channels. The last three are the workload convs
-# whose row blocks sit nearest the small-matrix bound: a valid-depth
-# transition conv, the f=16 3D decoder conv at 96 channels and the f=4 2D
-# decoder conv at 24.
+# blocks of whole samples or of rows of one sample, and the weight gradient
+# sums its rows in chunks of 384 and a split remainder, each chunk at 96
+# channels also splitting its columns at the budget; the (8, 32, 32, 7, 1)
+# and (8, 32, 32, 16) -> 1 convs add their bias over rows of one and of four
+# channels, and the second is a one-column (gemv) weight gradient split only
+# at the budget. The next three are the workload convs whose row blocks sit
+# nearest the small-matrix bound: a valid-depth transition conv, the f=16 3D
+# decoder conv at 96 channels and the f=4 2D decoder conv at 24. The last is
+# a four-column f=4 weight gradient over a 40x40 batch of 8, whose column
+# blocks once fell below that bound.
 BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
                  ((8, 32, 32, 7, 16), 16, (True, True, False)),
                  ((8, 32, 32, 7, 1), 16, (True, True, False)),
@@ -269,7 +273,8 @@ BLOCKED_CONVS = [((1, 32, 32, 16, 48), 16, (True, True, True)),
                  ((2, 32, 32, 5, 8), 4, (True, True, False)),
                  ((8, 32, 32, 5, 16), 16, (True, True, False)),
                  ((1, 16, 16, 8, 96), 32, (True, True, True)),
-                 ((8, 16, 16, 24), 8, (True, True))]
+                 ((8, 16, 16, 24), 8, (True, True)),
+                 ((8, 40, 40, 16), 4, (True, True))]
 
 
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
@@ -305,11 +310,57 @@ def test_blocked_conv_equals_monolithic_columns_at_pinned_blas_threads(threads):
     assert f"{len(BLOCKED_CONVS)} passed" in proc.stdout
 
 
+# prints, per inner dimension K on the command line, whether the chunked
+# weight gradient of a (K, 96) column matrix and a (K, 16) output gradient
+# equals one whole product, and the chunk sum's SHA-256
+_CHUNK_SUMS = """
+import hashlib, sys
+import numpy as np
+from sliceseg import ops
+for k in map(int, sys.argv[1:]):
+    rng = np.random.default_rng(k)
+    x, gmat = rng.normal(size=(1, k, 96)), rng.normal(size=(k, 16))
+    got = ops._weight_grad(ops._conv_windows(x, (1,)), gmat)[0]
+    print(k, np.array_equal(got, x[0].T @ gmat), hashlib.sha256(got.tobytes()).hexdigest())
+"""
+
+
+def test_weight_grad_chunks_are_blas_driver_chunks_at_any_thread_count():
+    # the weight gradient sums its rows in the K chunks OpenBLAS's one-thread
+    # driver takes, so its bits are those of one whole product at one thread;
+    # this pins the driver's rule on the installed BLAS and CPU: 384 while at
+    # least 768 remain, then a remainder in (384, 768) split at half of it
+    # rounded up to a multiple of 16 (the measured splits below), and the
+    # two-thread driver, which splits such a remainder elsewhere, gives the
+    # same chunk sum bytes as one thread
+    assert [ops._k_chunks(k) for k in (384, 400, 432, 648, 768, 1296)] == [
+        (0, 384), (0, 208, 400), (0, 224, 432), (0, 336, 648), (0, 384, 768),
+        (0, 384, 768, 1040, 1296)]
+    root = Path(__file__).resolve().parents[1]
+
+    def chunk_sums(threads, ks):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, (str(root / "src"),
+                                                           os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _CHUNK_SUMS, *map(str, ks)], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        return {int(k): (same == "True", digest)
+                for k, same, digest in map(str.split, proc.stdout.splitlines())}
+
+    one = chunk_sums(1, [*range(768, 1600), 2000, 8192, 12800, 24576, 40960])
+    assert len(one) == 837 and [k for k, (same, _) in one.items() if not same] == []
+    # at two threads one whole product of these K differs; the chunk sum does not
+    two = chunk_sums(2, [1000, 2000])
+    assert {k: digest for k, (_, digest) in two.items()} == {k: one[k][1] for k in two}
+
+
 @pytest.mark.parametrize("x_shape,cout,padded", BLOCKED_CONVS)
 def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shape, cout,
                                                              padded):
-    plans = []
-    real_plan = ops._plan
+    plans, weight = [], []
+    real_plan, real_weight_blocks = ops._plan, ops._weight_blocks
 
     def spy(extents, unit_bytes, budget):
         blocks = real_plan(extents, unit_bytes, budget)
@@ -318,7 +369,13 @@ def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shap
                                for index in blocks]))
         return blocks
 
+    def weight_spy(rows, extents, cols, itemsize):
+        blocks = real_weight_blocks(rows, extents, cols, itemsize)
+        weight.append((rows, extents, cols, blocks))
+        return blocks
+
     monkeypatch.setattr(ops, "_plan", spy)
+    monkeypatch.setattr(ops, "_weight_blocks", weight_spy)
     x = rand(x_shape, seed=1)
     x.requires_grad = True
     kernel = (3,) * len(padded)
@@ -326,16 +383,30 @@ def test_blocked_conv_keeps_every_column_block_within_budget(monkeypatch, x_shap
     w.requires_grad = True
     y = ops.conv_forward(x, w, None, padded)
     backward(sum_all(y))
-    # the forward's columns, then the backward's weight-gradient and input-gradient ones
-    (forward_budget, forward), (_, weight), (_, gx) = plans
+    # the forward's columns first and the input gradient's last; the weight
+    # gradient plans the columns of each of its row chunks in between
+    (forward_budget, forward), (_, gx) = plans[0], plans[-1]
     whole = math.prod(y.data.shape[:-1]) * math.prod(kernel) * x_shape[-1] * 8
     whole_gx = math.prod(x_shape[:-1]) * math.prod(kernel) * cout * 8
     assert whole > forward_budget  # the forward must split
-    # the weight gradient splits exactly when its columns exceed the cap
-    assert (len(weight) > 1) == (whole > ops._COLUMN_BUDGET)
-    assert sum(forward) == sum(weight) == whole and sum(gx) == whole_gx  # each tiled once
-    assert len(forward) + len(weight) + len(gx) > 4
+    assert sum(forward) == whole and sum(gx) == whole_gx  # each tiled once
     assert all(size <= budget <= ops._COLUMN_BUDGET for budget, sizes in plans for size in sizes)
+    # the weight gradient sums the output rows in the chunks of one whole
+    # product's BLAS driver (one chunk for gemv or a small product), in order,
+    # each chunk's columns tiled once, in blocks within the budget
+    [(rows, extents, cols, blocks)] = weight
+    assert len(forward) + len(blocks) + len(gx) > 4
+    assert (rows, extents, cols) == (math.prod(y.data.shape[:-1]), (*kernel, x_shape[-1]), cout)
+    chunked = cols >= 2 and whole // 8 * cols > ops._SMALL_GEMM_MACS
+    bounds = ops._k_chunks(rows) if chunked else (0, rows)
+    chunks = [chunk for chunk, _ in itertools.groupby((lo, hi) for lo, hi, _ in blocks)]
+    assert chunks == list(zip(bounds[:-1], bounds[1:]))
+    columns = np.arange(math.prod(extents)).reshape(extents)
+    for lo, hi in chunks:
+        index = [i for a, b, i in blocks if (a, b) == (lo, hi)]
+        np.testing.assert_array_equal(np.concatenate([columns[i].ravel() for i in index]),
+                                      columns.ravel())
+        assert all((hi - lo) * columns[i].size * 8 <= ops._COLUMN_BUDGET for i in index)
 
 
 # every conv of the benchmark's cells, on all four modes and both backbones:
@@ -351,9 +422,12 @@ def test_workload_row_blocks_stay_within_4_mib_and_above_the_small_matrix_bound(
     # OpenBLAS rounds a product of at most 10**6 multiply-adds in its
     # small-matrix kernel, so a block that small would change the bits of a
     # split product; at one column (gemv) no block can both pass that bound
-    # and stay within 4 MiB, and the gemv path keeps the 4 MiB partition
-    products = []
-    real_row_blocks = ops._row_blocks
+    # and stay within 4 MiB, and the gemv path keeps the 4 MiB partition.
+    # Every weight gradient equals one whole product of the column matrix,
+    # and every block it gathers stays within 4 MiB.
+    products, weight_blocks, weight_grads = [], [], []
+    real_row_blocks, real_weight_blocks, real_weight_grad = (
+        ops._row_blocks, ops._weight_blocks, ops._weight_grad)
 
     def spy(rows, k, cols, itemsize):
         blocks = real_row_blocks(rows, k, cols, itemsize)
@@ -361,7 +435,21 @@ def test_workload_row_blocks_stay_within_4_mib_and_above_the_small_matrix_bound(
                                          for index in blocks]))
         return blocks
 
+    def weight_blocks_spy(rows, extents, cols, itemsize):
+        blocks = real_weight_blocks(rows, extents, cols, itemsize)
+        weight_blocks.extend(((rows, extents, cols), (hi - lo) * np.broadcast_to(
+            0, extents)[index].size * itemsize) for lo, hi, index in blocks)
+        return blocks
+
+    def weight_grad_spy(win, gmat):
+        dw = real_weight_grad(win, gmat)
+        want = np.ascontiguousarray(win).reshape(gmat.shape[0], -1).T @ gmat
+        weight_grads.append((gmat.shape, np.array_equal(dw, want.reshape(dw.shape))))
+        return dw
+
     monkeypatch.setattr(ops, "_row_blocks", spy)
+    monkeypatch.setattr(ops, "_weight_blocks", weight_blocks_spy)
+    monkeypatch.setattr(ops, "_weight_grad", weight_grad_spy)
     rng = np.random.default_rng(0)
     for mode, backbone in [(m, b) for m in ("end2end_2d", "proposed", "channel_based",
                                             "end2end_3d") for b in ("unet", "segnet")]:
@@ -383,6 +471,9 @@ def test_workload_row_blocks_stay_within_4_mib_and_above_the_small_matrix_bound(
         assert max(sizes) * k * 8 <= 4 * 2**20, (rows, k, cols)
         if len(sizes) > 1 and cols >= 2:
             assert min(sizes) * k * cols > 10**6, (rows, k, cols)
+    assert bool(weight_grads) == trains and len(weight_blocks) >= len(weight_grads)
+    assert [shape for shape, same in weight_grads if not same] == []
+    assert [product for product, size in weight_blocks if size > 4 * 2**20] == []
 
 
 @settings(deadline=None, max_examples=200)
@@ -407,8 +498,9 @@ def test_plan_tiles_in_order_with_contiguous_blocks_within_budget(extents, unit_
 @given(_conv_cases(), st.integers(8, 2**16))
 def test_conv_columns_in_blocks_of_any_budget_match_monolithic(case, budget):
     # tiny budgets exercise every split: spans of the first output axis,
-    # and weight-gradient groups on each kernel axis down to single offsets;
-    # blocks this small may take another BLAS path, so equality is to rounding
+    # and weight-gradient column blocks on each kernel axis down to single
+    # offsets (these products are too small for row chunks); blocks this
+    # small may take another BLAS path, so equality is to rounding
     padded, x_shape, w_shape, seed = case
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=x_shape), requires_grad=True)
